@@ -6,8 +6,8 @@ Two suites, each writing one JSON document:
   itself — cold :class:`~repro.core.grouping.MultiRoundGrouper` runs
   at pinned queue sizes, and the warm ``event_regroup`` decision
   latency of a :class:`~repro.core.muri.MuriScheduler` fed a stream of
-  queue-perturbing events (the per-bucket decision cache and the
-  whole-plan memo are both on this path);
+  queue-perturbing events (the per-bucket decision cache is on this
+  path);
 * the **service** suite (``BENCH_service.json``) times the scheduler
   embedded in its consumers — per-``decide`` latency during a drained
   service-style simulation (arrival events are the service's
@@ -228,11 +228,12 @@ def _warm_regroup(
     A :class:`MuriScheduler` with ``event_regroup=True`` is warmed with
     one cold decide, then fed ``events`` queue perturbations in the
     scheduler's own priority order: removals from the priority *tail*
-    (completions past the dequeue budget — the whole-plan memo's case)
-    alternating with removals from the priority *head* (batch-changing
-    events, served by the per-bucket decision cache).  Reported p50/p99
-    therefore cover both warm paths, with p99 dominated by the
-    cache-assisted regroups.
+    (completions past the dequeue budget, which leave the dequeued
+    batch unchanged, so every bucket hits the per-bucket decision
+    cache) alternating with removals from the priority *head*
+    (batch-changing events, which re-match the touched bucket).
+    Reported p50/p99 therefore cover both warm cases, with p99
+    dominated by the re-matching regroups.
 
     The queue draws GPU counts uniformly from (1, 2, 4, 8) so no
     single GPU-count bucket dominates the dequeued batch: a
@@ -970,9 +971,9 @@ def gated_metrics(document: Dict[str, object]) -> Dict[str, float]:
     Returns ``{"benchmark.metric": value}`` for every metric named
     ``normalized`` or ending in ``_normalized``, except medians:
     ``p50_*`` values are recorded for humans but never gated, because
-    the warm paths are bimodal (memo hit vs cache-assisted regroup)
-    and a sub-millisecond median sitting on that boundary jitters far
-    beyond any honest tolerance — the tail (p99) is the latency
+    the warm paths are bimodal (every bucket a decision-cache hit vs a
+    bucket re-matched) and a median sitting on that boundary jitters
+    far beyond any honest tolerance — the tail (p99) is the latency
     contract.  The gated values are machine-speed invariant to first
     order, and all of them are lower-is-better.
     """

@@ -69,7 +69,6 @@ from repro.core.ordering import (
     identity_ordering,
     worst_ordering,
 )
-from repro.core.parallel import BucketPool, bucket_payload
 from repro.jobs.job import Job
 from repro.jobs.resources import NUM_RESOURCES
 from repro.jobs.stage import StageProfile
@@ -192,15 +191,6 @@ class MultiRoundGrouper:
             snap durations to.  ``0`` keys on exact durations; a
             positive quantum trades a little decision quality for cache
             hits that survive profiling noise.
-        workers: Process-pool width for per-bucket matchings.  GPU-count
-            buckets never interact (Algorithm 1 groups within a bucket
-            only), so with ``workers > 1`` the blossom matchings of
-            large buckets that missed the decision cache are dispatched
-            over a :class:`~repro.core.parallel.BucketPool` and merged
-            back in bucket order — plans are bit-identical to the
-            serial path (``workers=1``), which also remains the
-            fallback whenever the pool fails or tracing needs in-process
-            provenance.
         tracer: Optional :class:`~repro.observe.Tracer`.  When enabled,
             the grouper times its matching rounds, counts weight /
             decision cache hits, and publishes per-group
@@ -210,10 +200,6 @@ class MultiRoundGrouper:
 
     #: Candidate edges kept per job in provenance records.
     PROVENANCE_CANDIDATE_CAP = 6
-
-    #: Buckets smaller than this are always matched in-process — the
-    #: IPC round-trip would cost more than the matching itself.
-    PARALLEL_MIN_NODES = 16
 
     def __init__(
         self,
@@ -228,7 +214,6 @@ class MultiRoundGrouper:
         max_degree: int = 8,
         probe_limit: Optional[int] = None,
         cache_quantum: float = 0.0,
-        workers: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_group_size < 1:
@@ -244,8 +229,6 @@ class MultiRoundGrouper:
             raise ValueError(f"unknown ordering policy {ordering!r}")
         if cache_quantum < 0:
             raise ValueError("cache_quantum must be >= 0")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.max_group_size = max_group_size
         self.num_resources = num_resources
         self.matcher = matcher
@@ -276,8 +259,6 @@ class MultiRoundGrouper:
         # between scheduling intervals skips matching entirely.
         self._decision_cache: Dict[Tuple, List[_MatchedPair]] = {}
         self._decision_cache_prev: Dict[Tuple, List[_MatchedPair]] = {}
-        self.workers = workers
-        self._pool: Optional[BucketPool] = None
         self.tracer = tracer
         #: Whether the in-flight group() call is tracing — hoisted to a
         #: single flag so the weight/ordering inner loops pay zero
@@ -393,16 +374,6 @@ class MultiRoundGrouper:
                 del cache[key]
             dropped += len(stale)
         return dropped
-
-    def close(self) -> None:
-        """Shut down the per-bucket worker pool, if one was started.
-
-        Safe to call any number of times; the next parallel
-        :meth:`group` call lazily recreates the pool.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def _group_inner(
         self,
@@ -554,12 +525,9 @@ class MultiRoundGrouper:
         ``buckets[gpus]`` at call time.  Matchings are memoized per
         bucket against the node-key sequence, so a bucket unchanged
         since the previous ``group()`` call reuses its pairs without
-        rebuilding edges or rerunning the matcher.  With ``workers >
-        1`` the cache-missing large buckets are matched in parallel
-        (:meth:`_match_buckets_parallel`) before the in-order merge.
+        rebuilding edges or rerunning the matcher.
         """
         candidates: List[Tuple[float, int, int, int]] = []
-        entries: List[list] = []
         for gpus in bucket_order:
             nodes = buckets[gpus]
             if len(nodes) < 2:
@@ -569,19 +537,8 @@ class MultiRoundGrouper:
                 tuple(self._node_cache_key(node) for node in nodes),
             )
             matched = self._decision_cache_prev.get(bucket_key)
-            # entry: [gpus, nodes, bucket_key, matched, cache_hit]
-            entries.append([gpus, nodes, bucket_key, matched, matched is not None])
-
-        dispatch = self._parallel_dispatch(entries)
-        if dispatch:
-            parallel_results = self._match_buckets_parallel(
-                [entry[1] for entry in dispatch]
-            )
-            for entry, matched in zip(dispatch, parallel_results):
-                entry[3] = matched
-
-        for gpus, nodes, bucket_key, matched, cache_hit in entries:
-            if matched is None:
+            cache_hit = matched is not None
+            if not cache_hit:
                 with maybe_span(
                     self.tracer, "grouping.match", self._trace_now,
                     bucket_gpus=gpus, nodes=len(nodes),
@@ -612,75 +569,6 @@ class MultiRoundGrouper:
             # ablation packs jobs in descending priority.
             candidates.sort(key=lambda c: c[1])
         return candidates
-
-    def _parallel_dispatch(self, entries: List[list]) -> List[list]:
-        """The cache-missing buckets worth sending to the pool.
-
-        Parallel dispatch needs ``workers > 1``, the blossom matcher
-        (greedy is O(n) and exact is capped at 12 nodes), no active
-        tracing (matching spans and candidate provenance are collected
-        in-process), and at least two sufficiently large miss buckets —
-        one bucket has nothing to overlap with.
-        """
-        if self.workers < 2 or self.matcher != "blossom" or self._tracing:
-            return []
-        eligible = [
-            entry
-            for entry in entries
-            if entry[3] is None and len(entry[1]) >= self.PARALLEL_MIN_NODES
-        ]
-        if len(eligible) < 2:
-            return []
-        # Worker payloads do not carry affinity metadata, so buckets
-        # with affine nodes must match serially (which enforces
-        # _affinity_compatible) rather than on the pool.
-        for entry in eligible:
-            for node in entry[1]:
-                if node.jobs[0].spec.gpu_affinity is not None:
-                    return []
-        return eligible
-
-    def _worker_config(self) -> Dict[str, object]:
-        """Constructor kwargs reproducing this grouper in a worker."""
-        config: Dict[str, object] = {
-            "max_group_size": self.max_group_size,
-            "num_resources": self.num_resources,
-            "matcher": self.matcher,
-            "ordering": self.ordering,
-            "min_efficiency": self.min_efficiency,
-            "gpu_memory_gb": self.gpu_memory_gb,
-            "sparsify_threshold": self.sparsify_threshold,
-            "cache_quantum": self.cache_quantum,
-        }
-        if self._sparsify_config is not None:
-            config["max_degree"] = self._sparsify_config.max_degree
-            config["probe_limit"] = self._sparsify_config.probe_limit
-        return config
-
-    def _match_buckets_parallel(
-        self, node_lists: List[List[_Node]]
-    ) -> List[Optional[List[_MatchedPair]]]:
-        """Match several buckets on the worker pool.
-
-        Returns one pair list per bucket, aligned with ``node_lists``;
-        ``None`` marks a bucket the pool could not match (broken pool
-        beyond its rebuild budget, or a deterministic worker error) —
-        the caller re-runs those serially, which is bit-identical and
-        reproduces any real exception in the parent process.
-        """
-        if self._pool is None:
-            self._pool = BucketPool(self.workers)
-        with_memory = self.gpu_memory_gb is not None
-        payloads = [
-            bucket_payload(nodes, with_memory) for nodes in node_lists
-        ]
-        try:
-            return self._pool.match_buckets(self._worker_config(), payloads)
-        except Exception:
-            # Pool machinery failed outright (e.g. no process support):
-            # degrade to the serial path rather than lose the decision.
-            self.close()
-            return [None] * len(node_lists)
 
     def _match_bucket(self, nodes: List[_Node]) -> List[_MatchedPair]:
         """One matching over a bucket; pairs as (weight, i, j), i < j.

@@ -67,14 +67,7 @@ class MuriScheduler(Scheduler):
             GPU-count buckets the event actually changed, so every
             decision is identical to a cold re-solve — the online
             service's incremental mode (verified by
-            :class:`repro.verify.IncrementalOracle`).  Consecutive
-            events that do not change the dequeued batch, priorities,
-            running groups or capacity additionally hit a whole-plan
-            memo and skip the grouping pass outright (the batched
-            warm-regroup path).
-        workers: Process-pool width for the grouper's per-bucket
-            matchings; ``1`` (default) is fully serial.  See
-            :class:`~repro.core.grouping.MultiRoundGrouper`.
+            :class:`repro.verify.IncrementalOracle`).
         tracer: Optional :class:`~repro.observe.Tracer`.  When enabled,
             decide() calls are timed, group formations are emitted as
             events, and every grouping decision is filed per member job
@@ -96,7 +89,6 @@ class MuriScheduler(Scheduler):
         max_degree: int = 8,
         cache_quantum: float = 0.0,
         event_regroup: bool = False,
-        workers: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.policy: PriorityPolicy = (
@@ -107,7 +99,9 @@ class MuriScheduler(Scheduler):
         self.max_group_size = max_group_size
         self.event_regroup = event_regroup
         self.tracer = tracer
-        self._plan_memo: Optional[tuple] = None
+        #: Groups the last full pass planned but could not fit; None
+        #: until a full pass has run, so a completion regroups.
+        self._cached_overflow: Optional[List[JobGroup]] = None
         self.grouper = MultiRoundGrouper(
             max_group_size=max_group_size,
             matcher=matcher,
@@ -118,7 +112,6 @@ class MuriScheduler(Scheduler):
             sparsify_threshold=sparsify_threshold,
             max_degree=max_degree,
             cache_quantum=cache_quantum,
-            workers=workers,
             tracer=tracer,
         )
         self.duration_aware = self.policy_name in ("srsf", "srtf", "sjf")
@@ -135,19 +128,13 @@ class MuriScheduler(Scheduler):
         self,
         tracer: Optional[Tracer] = None,
         event_regroup: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> "MuriScheduler":
         """Apply the uniform options, threading them into the grouper.
-
-        The grouper's process pool is created lazily on first parallel
-        dispatch, so adjusting ``workers`` here (before any decide())
-        is equivalent to having passed it to the constructor.
 
         Args:
             tracer: Tracer for decide() spans, group events, and
                 per-job provenance; also attached to the grouper.
             event_regroup: Toggle the full-pass-on-event mode.
-            workers: Grouper process-pool width.
 
         Returns:
             ``self``.
@@ -157,8 +144,6 @@ class MuriScheduler(Scheduler):
             self.grouper.tracer = tracer
         if event_regroup is not None:
             self.event_regroup = event_regroup
-        if workers is not None:
-            self.grouper.workers = workers
         return self
 
     # -- scheduling -----------------------------------------------------------
@@ -225,29 +210,6 @@ class MuriScheduler(Scheduler):
         batch = self._dequeue_batch(ordered, total_gpus)
         believed = [self._believed_profile(job) for job in batch]
 
-        # Batched warm-regroup: under event_regroup, consecutive events
-        # frequently leave the dequeued batch, priorities, running
-        # groups and capacity untouched (e.g. a completion past the
-        # batch budget).  The whole plan is then a pure function of
-        # inputs already in hand, so serve the memoized plan and skip
-        # the grouping pass outright.
-        memo_key = None
-        if self.event_regroup:
-            memo_key = self._plan_signature(
-                batch, believed, priority, running, total_gpus
-            )
-            memo = self._plan_memo
-            if memo is not None and memo[0] == memo_key:
-                if tracing:
-                    tracer.count("sched.plan_memo.hit")
-                    # Same decisions as the memoized solve; re-file them
-                    # so per-event provenance stays complete.
-                    self._record_provenance(now, reason)
-                self._cached_overflow = list(memo[2])
-                return list(memo[1])
-            if tracing:
-                tracer.count("sched.plan_memo.miss")
-
         result = self.grouper.group(
             batch,
             believed,
@@ -277,39 +239,7 @@ class MuriScheduler(Scheduler):
         # reservoir: the prototype recomputes grouping only every
         # scheduling interval, so completions are served from this plan.
         self._cached_overflow = overflow
-        if memo_key is not None:
-            self._plan_memo = (memo_key, list(plan), list(overflow))
         return plan
-
-    def _plan_signature(
-        self,
-        batch: Sequence[Job],
-        believed: Sequence,
-        priority: Dict[str, tuple],
-        running: Dict[FrozenSet[int], JobGroup],
-        total_gpus: int,
-    ) -> tuple:
-        """Hashable fingerprint of everything the plan depends on.
-
-        The plan is a deterministic function of the dequeued batch (ids,
-        believed profiles, GPU demands), the priority tuples that order
-        it, the running groups seeding the grouper, and the capacity.
-        Two calls with equal signatures therefore produce identical
-        plans, which is what lets the memo skip the grouping pass.
-        """
-        return (
-            total_gpus,
-            tuple(tuple(sorted(key)) for key in running),
-            tuple(
-                (
-                    job.job_id,
-                    priority[job.job_id],
-                    profile.durations,
-                    job.num_gpus,
-                )
-                for job, profile in zip(batch, believed)
-            ),
-        )
 
     def _backfill_from_cache(
         self,
@@ -323,7 +253,7 @@ class MuriScheduler(Scheduler):
         whose members are all still pending.  Returns None when there
         is no cache, forcing a full regroup.
         """
-        cached = getattr(self, "_cached_overflow", None)
+        cached = self._cached_overflow
         if cached is None:
             return None
         alive = {job.job_id for job in jobs}
@@ -396,9 +326,8 @@ class MuriScheduler(Scheduler):
         """Invalidate every cache a resized job could have poisoned.
 
         A resize changes a job's GPU bucket *and* its believed profile,
-        so three caches go stale at once:
+        so two caches go stale at once:
 
-        * the whole-plan memo — its signature embeds the old size;
         * the overflow backfill reservoir — a cached group holding the
           job carries pre-resize believed profiles and offsets while
           its live ``num_gpus`` already reads the new size;
@@ -411,8 +340,7 @@ class MuriScheduler(Scheduler):
         coarsening (``cache_quantum``) and is what the cold-vs-warm
         resize oracle in :mod:`repro.verify.elastic` certifies.
         """
-        self._plan_memo = None
-        cached = getattr(self, "_cached_overflow", None)
+        cached = self._cached_overflow
         if cached:
             self._cached_overflow = [
                 group for group in cached
@@ -427,13 +355,8 @@ class MuriScheduler(Scheduler):
         Differential oracles call this to turn a warm scheduler into a
         cold one without rebuilding it.
         """
-        self._cached_overflow: List[JobGroup] = []
-        self._plan_memo = None
+        self._cached_overflow = None
         self.grouper.reset_caches()
-
-    def close(self) -> None:
-        """Release the grouper's worker pool (no-op when serial)."""
-        self.grouper.close()
 
     # -- internals ---------------------------------------------------------------
 

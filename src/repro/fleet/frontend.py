@@ -159,8 +159,8 @@ class FleetFrontEnd:
             tracer: Shared tracer for the fleet's own events; shards
                 get their own (aggregated on drain) when tracing.
             **shard_options: Forwarded to :func:`make_shard` — the
-                :func:`make_scheduler` keywords (``event_regroup``,
-                ``workers``...), ``max_pending``, ``clock``,
+                :func:`make_scheduler` keywords (``event_regroup``...),
+                ``max_pending``, ``clock``,
                 ``simulator_options``, and scheduler constructor args.
         """
         shards = [

@@ -53,7 +53,6 @@ class Scheduler(ABC):
         self,
         tracer: Optional["Tracer"] = None,
         event_regroup: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> "Scheduler":
         """Apply the uniform post-construction options and return self.
 
@@ -70,8 +69,6 @@ class Scheduler(ABC):
             event_regroup: Run the full decision pass on
                 arrival/completion events (Muri); ignored by policies
                 without incremental state.
-            workers: Process-pool width for policies with parallel
-                internals (Muri's grouper); ignored elsewhere.
 
         Returns:
             ``self``, so construction chains:
@@ -86,10 +83,10 @@ class Scheduler(ABC):
 
         The simulator calls this after every applied resize, before the
         next :meth:`decide`.  Stateless policies have nothing to do;
-        policies with decision caches keyed on GPU demand (Muri's plan
-        memo, overflow reservoir, and per-bucket grouping cache)
-        override this to invalidate them — a cached plan may reference
-        the job at its old size.
+        policies with decision caches keyed on GPU demand (Muri's
+        overflow reservoir and per-bucket grouping cache) override this
+        to invalidate them — a cached group may reference the job at
+        its old size.
 
         Args:
             job_id: The resized job.

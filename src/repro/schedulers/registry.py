@@ -4,13 +4,12 @@
 schedulers — the CLI, the experiment harness, and the examples all go
 through it.  :func:`register_scheduler` adds project-local policies to
 the same namespace, and :func:`available_schedulers` lists what can be
-built.  Indexing :data:`SCHEDULERS` directly for construction still
-works but is deprecated in favour of the factory.
+built.  :data:`SCHEDULERS` is the plain name -> factory table behind
+them.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.observe.tracer import Tracer
@@ -57,26 +56,7 @@ def _elastic_muri(policy: str) -> Callable[..., Scheduler]:
     return factory
 
 
-class _Registry(Dict[str, Callable[..., Scheduler]]):
-    """The scheduler-name -> factory table.
-
-    Direct indexing for construction (``SCHEDULERS["srsf"]()``) is the
-    pre-factory idiom and warns; use :func:`make_scheduler` instead.
-    Membership tests, iteration, and ``.get`` stay silent — they are
-    how the factory itself and the CLI inspect the table.
-    """
-
-    def __getitem__(self, key: str) -> Callable[..., Scheduler]:
-        warnings.warn(
-            "constructing schedulers via SCHEDULERS[name]() is deprecated; "
-            "use repro.make_scheduler(name, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return super().__getitem__(key)
-
-
-SCHEDULERS: Dict[str, Callable[..., Scheduler]] = _Registry({
+SCHEDULERS: Dict[str, Callable[..., Scheduler]] = {
     "fifo": FifoScheduler,
     "sjf": SjfScheduler,
     "srtf": SrtfScheduler,
@@ -91,7 +71,7 @@ SCHEDULERS: Dict[str, Callable[..., Scheduler]] = _Registry({
     "muri-l": _muri("las2d"),
     "elastic-muri": _elastic_muri("srsf"),
     "elastic-muri-l": _elastic_muri("las2d"),
-})
+}
 
 #: Baseline sets per evaluation scenario (Tables 4 and 5).
 KNOWN_DURATION = ("srtf", "srsf", "muri-s")
@@ -114,8 +94,8 @@ def register_scheduler(
         name: Registry name for :func:`make_scheduler`.
         factory: Callable returning a new scheduler; extra
             ``make_scheduler`` kwargs are forwarded to it, and the
-            uniform options (tracer, event_regroup, workers) are
-            applied afterwards via ``Scheduler.configure``.
+            uniform options (tracer, event_regroup) are applied
+            afterwards via ``Scheduler.configure``.
         replace: Allow overwriting an existing registration.
 
     Raises:
@@ -128,7 +108,7 @@ def register_scheduler(
             f"scheduler {name!r} is already registered; "
             "pass replace=True to overwrite"
         )
-    dict.__setitem__(SCHEDULERS, key, factory)
+    SCHEDULERS[key] = factory
 
 
 def make_scheduler(
@@ -136,7 +116,6 @@ def make_scheduler(
     profiler: Optional[ResourceProfiler] = None,
     tracer: Optional[Tracer] = None,
     event_regroup: Optional[bool] = None,
-    workers: Optional[int] = None,
     **kwargs,
 ) -> Scheduler:
     """Instantiate a scheduler by registry name.
@@ -146,8 +125,8 @@ def make_scheduler(
     Every name — built-in or registered — is built the same way: the
     factory receives the constructor ``kwargs``, then
     :meth:`~repro.schedulers.base.Scheduler.configure` applies the
-    uniform options (``tracer``, ``event_regroup``, ``workers``).  The
-    fleet shard factory (:func:`repro.fleet.make_shard`) shares this
+    uniform options (``tracer``, ``event_regroup``).  The fleet shard
+    factory (:func:`repro.fleet.make_shard`) shares this
     exact keyword signature.
 
     Args:
@@ -160,8 +139,6 @@ def make_scheduler(
         event_regroup: Run the full decision pass on arrival and
             completion events; ignored by policies without incremental
             state (see ``Scheduler.configure``).
-        workers: Parallel-internals width (Muri's grouper pool);
-            ignored elsewhere.
         **kwargs: Extra constructor arguments for Muri variants
             (``max_group_size``, ``matcher``, ``ordering``...).
 
@@ -174,10 +151,8 @@ def make_scheduler(
             f"unknown scheduler {name!r}; available: "
             f"{', '.join(available_schedulers())}"
         )
-    factory = SCHEDULERS.get(key)
+    factory = SCHEDULERS[key]
     if profiler is not None:
         kwargs["profiler"] = profiler
     scheduler = factory(**kwargs) if kwargs else factory()  # type: ignore[call-arg]
-    return scheduler.configure(
-        tracer=tracer, event_regroup=event_regroup, workers=workers
-    )
+    return scheduler.configure(tracer=tracer, event_regroup=event_regroup)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import socket
 import time
-import warnings
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.jobs.job import JobSpec
 from repro.service.daemon import SubmitRejected
@@ -37,7 +36,6 @@ from repro.service.protocol import (
     decode_line,
     encode_line,
     response_from_wire,
-    spec_from_dict,
 )
 from repro.sim.metrics import SimulationResult
 
@@ -136,16 +134,15 @@ class ServiceClient:
 
     def submit(
         self,
-        spec: Union[JobSpec, Dict[str, Any]],
+        spec: JobSpec,
         tenant: Optional[str] = None,
         vc: Optional[str] = None,
     ) -> SubmitResult:
         """Submit one job; returns the typed submission result.
 
         Args:
-            spec: The job to submit.  Passing an already-serialized
-                dict is the deprecated version-1 idiom and warns; build
-                a :class:`JobSpec` instead.
+            spec: The job to submit.  Build one from a serialized
+                dict with :func:`~repro.service.protocol.spec_from_dict`.
             tenant: Tenant to account the submission to; defaults to
                 the protocol's default tenant.
             vc: Optional virtual-cluster routing hint (fleet only).
@@ -156,16 +153,16 @@ class ServiceClient:
             fleet routed the job.
 
         Raises:
+            TypeError: When ``spec`` is not a :class:`JobSpec`; nothing
+                is sent.
             SubmitRejected: When admission control refused the job.
         """
         if not isinstance(spec, JobSpec):
-            warnings.warn(
-                "submitting raw spec dicts is deprecated; "
-                "pass a JobSpec (see repro.service.protocol.spec_from_dict)",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"submit() takes a JobSpec, not {type(spec).__name__}; "
+                "convert serialized specs with "
+                "repro.service.protocol.spec_from_dict"
             )
-            spec = spec_from_dict(spec)
         message = SubmitRequest(
             spec=spec,
             tenant=DEFAULT_TENANT if tenant is None else tenant,

@@ -13,10 +13,6 @@ correct implementations and compare:
   ordering / decision caches are warm from an identical previous call.
   The group sets must be *identical*: caching must never change a
   decision.
-* :func:`compare_parallel_serial` — process-pool per-bucket grouping
-  vs the serial path on the same jobs.  Groups, stage offsets and
-  total efficiency must be *bit-identical*: parallel dispatch is pure
-  plumbing and must never change a decision.
 * :func:`compare_pairs_exact` — blossom matching vs
   :func:`~repro.matching.exact.brute_force_matching` on the bucket's
   own edge weights.  Blossom is an exact algorithm, so the matched
@@ -63,7 +59,6 @@ __all__ = [
     "plan_signature",
     "compare_dense_sparse",
     "compare_cold_cached",
-    "compare_parallel_serial",
     "compare_pairs_exact",
     "compare_groups_exact",
     "IncrementalOracle",
@@ -227,12 +222,6 @@ class IncrementalOracle(Scheduler):
         if reset is not None:
             reset()
 
-    def close(self) -> None:
-        """Release the wrapped scheduler's resources (worker pools)."""
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
 
 def compare_dense_sparse(
     jobs: Sequence[Job],
@@ -370,79 +359,6 @@ def compare_cold_cached(
             details={},
         )
     return cold, cached
-
-
-def compare_parallel_serial(
-    jobs: Sequence[Job],
-    capacity: Optional[int] = None,
-    workers: int = 2,
-    **grouper_kwargs,
-) -> Tuple[GroupingResult, GroupingResult]:
-    """Serial vs process-pool grouping; plans must be bit-identical.
-
-    Per-bucket matchings dispatched to worker processes depend only on
-    their own bucket's payload, and results are merged in
-    ``bucket_order``, so the parallel grouper must reproduce the serial
-    plan exactly — same groups, same stage offsets, same total
-    efficiency.  Any divergence means the worker payload dropped
-    decision-relevant state (and would silently change schedules).
-
-    Args:
-        jobs: The job set (priority order), handed to both groupers.
-        capacity: Cluster GPU capacity handed to both groupers.
-        workers: Pool width of the parallel side (>= 2).
-        **grouper_kwargs: Extra :class:`MultiRoundGrouper` settings
-            applied to both sides.
-
-    Returns:
-        ``(serial_result, parallel_result)`` once equality holds.
-
-    Raises:
-        InvariantViolation: With invariant ``differential.parallel``.
-    """
-    serial = MultiRoundGrouper(workers=1, **grouper_kwargs).group(
-        jobs, capacity=capacity
-    )
-    parallel_grouper = MultiRoundGrouper(workers=workers, **grouper_kwargs)
-    try:
-        parallel = parallel_grouper.group(jobs, capacity=capacity)
-    finally:
-        parallel_grouper.close()
-
-    _check_result(serial, "serial")
-    _check_result(parallel, "parallel")
-
-    if group_sets(serial) != group_sets(parallel):
-        raise InvariantViolation(
-            "differential.parallel",
-            f"parallel grouping (workers={workers}) formed different "
-            f"groups than the serial path",
-            details={
-                "serial": sorted(map(sorted, group_sets(serial))),
-                "parallel": sorted(map(sorted, group_sets(parallel))),
-            },
-        )
-    offsets_of = lambda result: {
-        frozenset(job.job_id for job in group.jobs): tuple(group.offsets)
-        for group in result.groups
-    }
-    if offsets_of(serial) != offsets_of(parallel):
-        raise InvariantViolation(
-            "differential.parallel",
-            "parallel grouping changed a group's stage ordering",
-            details={},
-        )
-    if abs(serial.total_efficiency - parallel.total_efficiency) > 0.0:
-        raise InvariantViolation(
-            "differential.parallel",
-            f"parallel total efficiency {parallel.total_efficiency!r} "
-            f"differs from serial {serial.total_efficiency!r}",
-            details={
-                "serial": serial.total_efficiency,
-                "parallel": parallel.total_efficiency,
-            },
-        )
-    return serial, parallel
 
 
 def compare_pairs_exact(

@@ -11,8 +11,8 @@ Two guarantees back ``repro.elastic`` (see ``docs/elastic.md``):
   scheduler state, so the inherited ``decide`` is provably the same
   code on the same inputs; this oracle certifies it end to end.
 * **Cache soundness under resizes** — :func:`run_elastic_oracle`:
-  a warm elastic scheduler (plan memo, overflow reservoir, per-bucket
-  decision caches) wrapped in
+  a warm elastic scheduler (overflow reservoir, per-bucket decision
+  caches) wrapped in
   :class:`~repro.verify.differential.IncrementalOracle`, so every
   decision on an actively-resizing stream is compared against a cold
   full re-solve.  Any stale demand-keyed cache entry surviving a
@@ -48,12 +48,7 @@ def _simulate(
     simulator = ClusterSimulator(
         scheduler, cluster=Cluster(machines, gpus), **sim_kwargs
     )
-    try:
-        return simulator.run(specs, trace_name=trace_name)
-    finally:
-        close = getattr(scheduler, "close", None)
-        if close is not None:
-            close()
+    return simulator.run(specs, trace_name=trace_name)
 
 
 def compare_flat_identity(

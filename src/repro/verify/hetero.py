@@ -52,12 +52,7 @@ def _simulate(
     trace_name: str,
 ) -> SimulationResult:
     simulator = ClusterSimulator(scheduler, cluster=cluster, **sim_kwargs)
-    try:
-        return simulator.run(specs, trace_name=trace_name)
-    finally:
-        close = getattr(scheduler, "close", None)
-        if close is not None:
-            close()
+    return simulator.run(specs, trace_name=trace_name)
 
 
 def compare_homogeneous_identity(

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.bench.suite import _make_jobs
 from repro.core.muri import MuriScheduler
 from repro.jobs.job import Job, JobSpec
 from repro.jobs.stage import StageProfile
 from repro.profiler.noise import UniformNoise
 from repro.profiler.profiler import ResourceProfiler
 from repro.schedulers.base import group_key
+from repro.verify.differential import plan_signature
 
 STORAGE = StageProfile((0.7, 0.1, 0.1, 0.1))
 CPU = StageProfile((0.1, 0.7, 0.1, 0.1))
@@ -135,72 +137,24 @@ class TestProfilerIntegration:
         assert not (believed & truths)
 
 
-class TestPlanMemo:
-    """The whole-plan memo on the event_regroup warm path."""
+class TestResetCaches:
+    def test_reset_scheduler_decides_like_a_fresh_one(self):
+        # A fresh scheduler has no backfill reservoir, so a completion
+        # regroups; after reset_caches() the same decide must regroup
+        # too rather than serve the running groups as a backfill.
+        jobs = _make_jobs(24, 0, gpu_choices=(1, 2))
+        warm = MuriScheduler()
+        plan = warm.decide(0.0, jobs, {}, total_gpus=8)
+        # A full cluster leaves no free GPU, so a backfill would keep
+        # exactly the running groups and never fall through to regroup.
+        assert sum(group.num_gpus for group in plan) == 8
+        running = {group_key(group): group for group in plan}
+        warm.reset_caches()
 
-    def _jobs(self):
-        return [make_job(p, gpus=g) for p in (STORAGE, CPU, GPU, NETWORK)
-                for g in (1, 2)]
-
-    def test_identical_state_skips_grouping(self):
-        jobs = self._jobs()
-        scheduler = MuriScheduler(event_regroup=True)
-        first = scheduler.decide(0.0, jobs, {}, total_gpus=4,
-                                 reason="completion")
-
-        def boom(*args, **kwargs):
-            raise AssertionError("grouper.group called on a memo hit")
-
-        scheduler.grouper.group = boom
-        second = scheduler.decide(1.0, jobs, {}, total_gpus=4,
-                                  reason="completion")
-        assert [group_key(g) for g in first] == [group_key(g) for g in second]
-
-    def test_queue_change_invalidates(self):
-        jobs = self._jobs()
-        scheduler = MuriScheduler(event_regroup=True)
-        scheduler.decide(0.0, jobs, {}, total_gpus=4, reason="completion")
-
-        called = []
-        inner = scheduler.grouper.group
-
-        def spy(*args, **kwargs):
-            called.append(True)
-            return inner(*args, **kwargs)
-
-        scheduler.grouper.group = spy
-        scheduler.decide(1.0, jobs[1:], {}, total_gpus=4, reason="completion")
-        assert called
-
-    def test_reset_caches_clears_memo(self):
-        jobs = self._jobs()
-        scheduler = MuriScheduler(event_regroup=True)
-        scheduler.decide(0.0, jobs, {}, total_gpus=4, reason="completion")
-        scheduler.reset_caches()
-
-        called = []
-        inner = scheduler.grouper.group
-
-        def spy(*args, **kwargs):
-            called.append(True)
-            return inner(*args, **kwargs)
-
-        scheduler.grouper.group = spy
-        scheduler.decide(1.0, jobs, {}, total_gpus=4, reason="completion")
-        assert called
-
-    def test_memo_gated_on_event_regroup(self):
-        jobs = self._jobs()
-        scheduler = MuriScheduler()
-        scheduler.decide(0.0, jobs, {}, total_gpus=4, reason="completion")
-
-        called = []
-        inner = scheduler.grouper.group
-
-        def spy(*args, **kwargs):
-            called.append(True)
-            return inner(*args, **kwargs)
-
-        scheduler.grouper.group = spy
-        scheduler.decide(1.0, jobs, {}, total_gpus=4, reason="completion")
-        assert called
+        reset_plan = warm.decide(
+            10.0, jobs, running, total_gpus=8, reason="completion"
+        )
+        fresh_plan = MuriScheduler().decide(
+            10.0, jobs, running, total_gpus=8, reason="completion"
+        )
+        assert plan_signature(reset_plan) == plan_signature(fresh_plan)

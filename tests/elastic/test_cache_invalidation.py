@@ -1,9 +1,9 @@
 """Decision-cache invalidation on resize, at the sparsify boundaries.
 
 A resize moves a job between GPU buckets; every demand-keyed cache —
-the grouper's per-bucket decision cache, the scheduler's plan memo and
-overflow carry — must be dropped for the affected buckets or a warm
-``decide`` can replay a stale plan.  Each test warms the caches, moves
+the grouper's per-bucket decision cache and the scheduler's overflow
+carry — must be dropped for the affected buckets or a warm ``decide``
+can replay a stale plan.  Each test warms the caches, moves
 one job across buckets via ``resize`` + ``notify_resize``, and asserts
 the warm plan is signature-identical to a cold scheduler's plan on the
 same inputs.
@@ -125,8 +125,8 @@ class TestCrossBucketInvalidation:
         assert not one_or_two
 
 
-class TestElasticSchedulerMemo:
-    def test_plan_memo_cleared_on_resize(self):
+class TestElasticDecisionCache:
+    def test_cleared_on_resize(self):
         jobs = make_jobs(60, seed=9)
         elastic = next(j for j in jobs if j.spec.scalability is not None)
         scheduler = ElasticMuriScheduler()

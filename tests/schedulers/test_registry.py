@@ -88,7 +88,7 @@ def test_make_scheduler_attaches_tracer_to_registered_factory():
         assert scheduler.tracer is tracer
         assert scheduler.grouper.tracer is tracer
     finally:
-        dict.pop(SCHEDULERS, "test-muri")
+        SCHEDULERS.pop("test-muri")
 
 
 def test_make_scheduler_configures_tracer_on_baselines():
@@ -102,11 +102,10 @@ def test_make_scheduler_configures_tracer_on_baselines():
 def test_configure_uniform_signature():
     # The one factory signature: unknown-to-the-policy options are
     # accepted and ignored instead of raising.
-    scheduler = make_scheduler("fifo", event_regroup=True, workers=4)
+    scheduler = make_scheduler("fifo", event_regroup=True)
     assert scheduler.name == "FIFO"
-    muri = make_scheduler("muri-s", event_regroup=True, workers=3)
+    muri = make_scheduler("muri-s", event_regroup=True)
     assert muri.event_regroup is True
-    assert muri.grouper.workers == 3
 
 
 def test_configure_returns_self_and_chains():
@@ -122,7 +121,7 @@ def test_register_scheduler():
         assert "test-fifo" in available_schedulers()
         assert isinstance(make_scheduler("Test-FIFO"), FifoScheduler)
     finally:
-        dict.pop(SCHEDULERS, "test-fifo")
+        SCHEDULERS.pop("test-fifo")
 
 
 def test_register_scheduler_rejects_collision():
@@ -136,13 +135,7 @@ def test_register_scheduler_replace():
     try:
         assert SCHEDULERS.get("fifo") is FifoScheduler
     finally:
-        dict.__setitem__(SCHEDULERS, "fifo", original)
-
-
-def test_direct_indexing_is_deprecated():
-    with pytest.warns(DeprecationWarning):
-        factory = SCHEDULERS["srsf"]
-    assert factory().name == "SRSF"
+        SCHEDULERS["fifo"] = original
 
 
 def test_non_indexing_access_does_not_warn(recwarn):

@@ -92,7 +92,7 @@ class TestIncrementalDifferential:
         with pytest.raises(InvariantViolation):
             service.run_sync()
 
-    def test_plan_signature_distinguishes_offsets(self):
+    def test_empty_plan_has_empty_signature(self):
         trace, specs = workload(num_jobs=6, seed=0)
         scheduler = MuriScheduler(policy="srsf")
         plan = scheduler.decide(0.0, [], {}, 16)

@@ -122,13 +122,13 @@ def test_cancel_over_the_socket(serve_on):
     assert client.status(job_id)["status"] == "failed"
 
 
-def test_submit_dict_payload_deprecated(served):
+def test_submit_dict_payload_raises_type_error(served):
     client, _server, _thread = served
-    with pytest.warns(DeprecationWarning):
-        submitted = client.submit({
+    with pytest.raises(TypeError):
+        client.submit({
             "durations": [0.25, 0.25, 0.25, 0.25],
             "num_gpus": 1,
             "num_iterations": 5,
         })
-    assert client.status(submitted.job_id)["status"] in (
-        "pending", "running", "finished")
+    # Nothing reached the server, and the connection is still usable.
+    assert client.status()["jobs"] == 0
