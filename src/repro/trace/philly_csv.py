@@ -52,9 +52,6 @@ CSV_FIELDS: Tuple[str, ...] = (
     "num_gpus",
 )
 
-#: Timestamp format shared with the JSON loader.
-_TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
-
 #: Detail cap: reports keep counting past it but stop storing rows.
 _MAX_ERROR_DETAILS = 64
 
@@ -302,21 +299,25 @@ def write_philly_csv(
         Number of data rows written.
     """
     anchor = base_time if base_time is not None else datetime(2017, 10, 1)
+    # The schema's timestamps are naive wall-clock times.
+    anchor = anchor.replace(tzinfo=None)
     destination = Path(path)
     with destination.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
         for record in trace.records:
+            # The single attempt starts at submission.  isoformat pads
+            # the year to four digits, so years < 1000 still load.
             submitted = anchor + timedelta(seconds=record.submit_time)
-            start = submitted
-            end = start + timedelta(seconds=record.duration)
+            end = submitted + timedelta(seconds=record.duration)
+            stamp = submitted.isoformat(" ", "seconds")
             writer.writerow([
                 f"job_{record.job_id}",
                 vc,
                 "Pass",
-                submitted.strftime(_TIME_FORMAT),
-                start.strftime(_TIME_FORMAT),
-                end.strftime(_TIME_FORMAT),
+                stamp,
+                stamp,
+                end.isoformat(" ", "seconds"),
                 record.num_gpus,
             ])
     return len(trace.records)

@@ -10,9 +10,10 @@ the model's per-iteration time.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.jobs.job import JobSpec
+from repro.jobs.stage import StageProfile
 from repro.models.zoo import DEFAULT_MODELS, get_model
 from repro.trace.records import Trace
 
@@ -59,10 +60,17 @@ def build_jobs(
         construction.
     """
     assigned = assign_models(trace, models, seed)
+    # A trace has few distinct (model, GPU count) pairs; StageProfile is
+    # frozen and compared by value, so jobs can share one instance.
+    profiles: Dict[Tuple[str, int], StageProfile] = {}
     specs: List[JobSpec] = []
     for record, model_name in zip(trace, assigned):
         model = get_model(model_name)
-        profile = model.stage_profile(record.num_gpus, network_scaling)
+        key = (model.name, record.num_gpus)
+        profile = profiles.get(key)
+        if profile is None:
+            profile = model.stage_profile(record.num_gpus, network_scaling)
+            profiles[key] = profile
         iterations = max(1, round(record.duration / profile.iteration_time))
         specs.append(
             JobSpec(

@@ -11,10 +11,14 @@ records, so any semantic drift in the adapter shows up as a diff
 against this file.
 """
 
-from datetime import datetime
+import csv
+import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.philly_csv import (
     CSV_FIELDS,
@@ -187,3 +191,70 @@ class TestWriteRoundTrip:
         write_philly_csv(trace, path, base_time=datetime(2020, 1, 1))
         loaded, _ = load_philly_csv(path, min_duration=0.0)
         assert [r.submit_time for r in loaded.records] == [0.0, 30.0]
+
+    def test_year_below_1000_roundtrips(self, tmp_path):
+        """Four-digit years keep early anchors loadable."""
+        trace = Trace(name="y", records=(
+            TraceRecord(job_id=0, submit_time=0.0, duration=60.0, num_gpus=1),
+            TraceRecord(job_id=1, submit_time=30.0, duration=90.0, num_gpus=2),
+        ))
+        path = tmp_path / "y.csv"
+        write_philly_csv(trace, path, base_time=datetime(999, 1, 1))
+        assert path.read_text().splitlines()[1].split(",")[3] == (
+            "0999-01-01 00:00:00"
+        )
+        loaded, report = load_philly_csv(path, min_duration=0.0)
+        assert report.total_skipped == 0
+        assert [(r.submit_time, r.duration) for r in loaded.records] == [
+            (0.0, 60.0), (30.0, 90.0),
+        ]
+
+    def test_aware_anchor_writes_wall_clock_time(self, tmp_path):
+        trace = Trace(name="z", records=(
+            TraceRecord(job_id=0, submit_time=5.0, duration=60.0, num_gpus=1),
+        ))
+        naive, aware = tmp_path / "naive.csv", tmp_path / "aware.csv"
+        write_philly_csv(trace, naive, base_time=datetime(2020, 1, 1))
+        write_philly_csv(
+            trace, aware,
+            base_time=datetime(2020, 1, 1, tzinfo=timezone(timedelta(hours=8))),
+        )
+        assert aware.read_text() == naive.read_text()
+
+
+_STRFTIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+
+class TestWrittenTimestampParity:
+    """Written timestamps match ``strftime`` for four-digit years."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        anchor=st.datetimes(
+            min_value=datetime(1000, 1, 1), max_value=datetime(9000, 1, 1),
+        ),
+        times=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e9),
+                st.floats(min_value=1e-3, max_value=1e8),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_matches_strftime(self, anchor, times):
+        trace = Trace(name="p", records=tuple(
+            TraceRecord(job_id=i, submit_time=submit, duration=duration,
+                        num_gpus=1)
+            for i, (submit, duration) in enumerate(times)
+        ))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "p.csv"
+            write_philly_csv(trace, path, base_time=anchor)
+            with path.open(newline="") as handle:
+                rows = list(csv.DictReader(handle))
+        for record, row in zip(trace.records, rows):
+            submitted = anchor + timedelta(seconds=record.submit_time)
+            end = submitted + timedelta(seconds=record.duration)
+            assert row["submitted_time"] == submitted.strftime(_STRFTIME_FORMAT)
+            assert row["attempt_start_time"] == row["submitted_time"]
+            assert row["attempt_end_time"] == end.strftime(_STRFTIME_FORMAT)

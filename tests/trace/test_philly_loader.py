@@ -1,8 +1,11 @@
 """Tests for the real Philly-format loader (on a synthetic fixture)."""
 
 import json
+from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.philly_loader import (
     load_philly_json,
@@ -79,6 +82,10 @@ class TestHelpers:
         assert parse_philly_time("") is None
         assert parse_philly_time("garbage") is None
 
+    @pytest.mark.parametrize("value", [1507050834, 1.5, None, [], {}])
+    def test_parse_time_non_string(self, value):
+        assert parse_philly_time(value) is None
+
     @pytest.mark.parametrize("value,expected", [
         (1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 16), (17, 32),
     ])
@@ -131,9 +138,119 @@ class TestLoader:
         with pytest.raises(ValueError):
             load_philly_json(trace_file, virtual_cluster="vc-nope")
 
+    def test_non_string_timestamps_are_skipped(self, tmp_path):
+        """Epoch integers are bad timestamps, not a crash."""
+        entries = [
+            philly_entry(
+                "app_1", "vc-a", "2017-10-03 10:00:00",
+                [attempt("2017-10-03 10:05:00", "2017-10-03 11:05:00", [1])],
+            ),
+            philly_entry(
+                "app_2", "vc-a", 1507050834,
+                [attempt("2017-10-03 10:05:00", "2017-10-03 11:05:00", [1])],
+            ),
+            philly_entry(
+                "app_3", "vc-a", "2017-10-03 10:00:00",
+                [
+                    attempt(1507050834, 1507054434, [1]),
+                    attempt("2017-10-03 12:00:00", "2017-10-03 12:30:00", [2]),
+                ],
+            ),
+        ]
+        path = tmp_path / "epoch_log"
+        path.write_text(json.dumps(entries))
+        trace = load_philly_json(path)
+        # app_2 is dropped; app_3 keeps only its parseable attempt.
+        assert [(r.duration, r.num_gpus) for r in trace] == [
+            (3600.0, 1), (1800.0, 2),
+        ]
+
     def test_feeds_build_jobs(self, trace_file):
         from repro.trace.workload import build_jobs
 
         trace = load_philly_json(trace_file)
         specs = build_jobs(trace, seed=0)
         assert len(specs) == len(trace)
+
+
+def reference_parse(value):
+    """The parser's specification: ``strptime`` on the stripped text."""
+    try:
+        return datetime.strptime(value.strip(), "%Y-%m-%d %H:%M:%S")
+    except ValueError:
+        return None
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                            "\uff15\uff16\uff17\uff18\uff19")
+
+
+@st.composite
+def near_canonical_times(draw):
+    """Strings on and around the canonical ``YYYY-MM-DD HH:MM:SS`` shape.
+
+    Covers out-of-range fields (month 13, day 32, hour 24, second 60),
+    unpadded fields, a ``T`` separator, fractional seconds, full-width
+    digits, surrounding whitespace and ``None`` placeholders.
+    """
+    fields = [
+        draw(st.integers(0, 9999)),
+        draw(st.integers(0, 13)),
+        draw(st.integers(0, 32)),
+        draw(st.integers(0, 24)),
+        draw(st.integers(0, 60)),
+        draw(st.integers(0, 61)),
+    ]
+    widths = [4, 2, 2, 2, 2, 2]
+    text = [
+        str(value).zfill(width) if draw(st.booleans()) else str(value)
+        for value, width in zip(fields, widths)
+    ]
+    separator = draw(st.sampled_from([" ", " ", "T", "  "]))
+    value = (
+        f"{text[0]}-{text[1]}-{text[2]}{separator}"
+        f"{text[3]}:{text[4]}:{text[5]}"
+    )
+    if draw(st.integers(0, 9)) == 0:
+        value += ".5"
+    if draw(st.integers(0, 9)) == 0:
+        value = value.translate(_FULL_WIDTH)
+    if draw(st.integers(0, 9)) == 0:
+        value = draw(st.sampled_from([" ", "\t", "\n"])) + value
+    if draw(st.integers(0, 9)) == 0:
+        value += draw(st.sampled_from([" ", "\t", "\n"]))
+    if draw(st.integers(0, 19)) == 0:
+        value = "None" + value
+    return value
+
+
+class TestParseParity:
+    """The canonical fast path agrees with ``strptime`` everywhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_canonical_times())
+    def test_near_canonical(self, value):
+        assert parse_philly_time(value) == reference_parse(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=24))
+    def test_arbitrary_text(self, value):
+        assert parse_philly_time(value) == reference_parse(value)
+
+    @pytest.mark.parametrize("value", [
+        "2017-01-03 01:02:03",
+        "2017-1-3 1:2:3",
+        " 2017-01-03 01:02:03 ",
+        "2017-01-03 24:00:00",
+        "2017-02-29 00:00:00",
+        "2016-02-29 23:59:59",
+        "0999-01-01 00:00:00",
+        "0000-01-01 00:00:00",
+        "2017-01-03T01:02:03",
+        "2017-01-03 01:02:03.5",
+        "\uff12\uff10\uff11\uff17-01-03 01:02:03",
+        "None",
+        "None 2017-01-03 01:02:03",
+    ])
+    def test_edge_cases(self, value):
+        assert parse_philly_time(value) == reference_parse(value)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.hetero.workload import build_hetero_jobs, pin_jobs
+from repro.jobs.job import JobSpec
 from repro.models.zoo import DEFAULT_MODELS, get_model
 from repro.trace.records import Trace, TraceRecord
 from repro.trace.workload import assign_models, build_jobs
@@ -82,3 +84,66 @@ class TestBuildJobs:
     def test_model_pool_restriction(self):
         specs = build_jobs(make_trace(), models=["DQN", "Bert"], seed=1)
         assert {spec.model for spec in specs} <= {"DQN", "Bert"}
+
+
+def rebuild_per_record(trace, seed, network_scaling):
+    """build_jobs' specification: a fresh profile for every record."""
+    specs = []
+    for record, name in zip(trace, assign_models(trace, seed=seed)):
+        model = get_model(name)
+        profile = model.stage_profile(record.num_gpus, network_scaling)
+        specs.append(JobSpec(
+            profile=profile,
+            num_gpus=record.num_gpus,
+            submit_time=record.submit_time,
+            num_iterations=max(
+                1, round(record.duration / profile.iteration_time)
+            ),
+            model=model.name,
+            name=f"{trace.name}-job{record.job_id}",
+            job_id=record.job_id,
+            memory=model.memory,
+        ))
+    return specs
+
+
+def wide_trace(n=200):
+    """Every GPU count up to 64, so network scaling changes profiles."""
+    return Trace.from_records("w", [
+        TraceRecord(job_id=i, submit_time=float(i),
+                    duration=60.0 + 37.0 * i, num_gpus=1 << (i % 7))
+        for i in range(n)
+    ])
+
+
+class TestProfileReuse:
+    @pytest.mark.parametrize("network_scaling", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_per_record_rebuild(self, seed, network_scaling):
+        trace = wide_trace()
+        assert build_jobs(
+            trace, seed=seed, network_scaling=network_scaling
+        ) == rebuild_per_record(trace, seed, network_scaling)
+
+    def test_network_scaling_reaches_large_jobs(self):
+        trace = wide_trace()
+        flat = build_jobs(trace, seed=0)
+        scaled = build_jobs(trace, seed=0, network_scaling=0.5)
+        assert any(a.profile != b.profile for a, b in zip(flat, scaled))
+
+    def test_one_profile_per_model_and_gpu_count(self):
+        specs = build_jobs(wide_trace(), seed=0)
+        keys = {(spec.model, spec.num_gpus) for spec in specs}
+        assert len({id(spec.profile) for spec in specs}) == len(keys)
+
+    @pytest.mark.parametrize("network_scaling", [0.0, 0.5])
+    def test_hetero_equals_per_record_rebuild(self, network_scaling):
+        trace = wide_trace()
+        types = ["k80", "a100"]
+        assert build_hetero_jobs(
+            trace, types, seed=3, network_scaling=network_scaling,
+            prefer_fraction=0.25,
+        ) == pin_jobs(
+            rebuild_per_record(trace, 3, network_scaling), types, seed=3,
+            prefer_fraction=0.25,
+        )
