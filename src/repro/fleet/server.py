@@ -9,10 +9,7 @@ land under the default tenant with no hint).
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.fleet.frontend import FleetFrontEnd
-from repro.service.daemon import SubmitRejected
 from repro.service.protocol import (
     CancelRequest,
     CancelResult,
@@ -27,8 +24,6 @@ from repro.service.protocol import (
     StatusRequest,
     StatusResult,
     SubmitRequest,
-    error_response,
-    request_from_wire,
 )
 from repro.service.server import LineServer
 from repro.sim.metrics import SimulationResult
@@ -61,28 +56,6 @@ class FleetServer(LineServer):
             The merged fleet result once every shard drains.
         """
         return await self.serve_sockets(self.frontend.run())
-
-    def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one wire request to the fleet; never raises."""
-        try:
-            message = request_from_wire(request)
-        except ValueError as error:
-            return error_response("bad_request", str(error))
-        except KeyError as error:
-            return error_response("bad_request", f"missing field {error}")
-        try:
-            return self.handle(message).to_wire()
-        except SubmitRejected as rejection:
-            wire = error_response(rejection.code, str(rejection))
-            if rejection.tenant is not None:
-                wire["tenant"] = rejection.tenant
-            if rejection.details:
-                wire["details"] = rejection.details
-            return wire
-        except KeyError as error:
-            return error_response("unknown_job", str(error))
-        except (TypeError, ValueError) as error:
-            return error_response("bad_request", str(error))
 
     def handle(self, message: Request) -> Response:
         """Apply one typed request to the fleet; returns the result.

@@ -8,7 +8,8 @@ request is handled between simulator steps, never during one.
 
 The connection plumbing lives in :class:`LineServer`, which the fleet
 front-end (:class:`repro.fleet.server.FleetServer`) reuses: a subclass
-implements :meth:`LineServer.dispatch` and inherits the line loop, the
+implements :meth:`LineServer.handle` and inherits wire decoding and
+error mapping (:meth:`LineServer.dispatch`), the line loop, the
 post-drain linger, and socket cleanup.
 """
 
@@ -68,10 +69,39 @@ class LineServer:
         self._writers: set = set()
 
     def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one wire request; return the wire response.
+        """Apply one wire request; return the wire response; never raises.
 
-        Subclasses implement this; it must never raise (protocol
-        errors become ``error_response`` dicts).
+        Version-1 dicts (no ``version`` field) and version-2 messages
+        both decode through :func:`request_from_wire` and go to
+        :meth:`handle`; every protocol error, a mistyped field
+        included, becomes an ``error_response`` dict.
+        """
+        try:
+            message = request_from_wire(request)
+        except (TypeError, ValueError) as error:
+            return error_response("bad_request", str(error))
+        except KeyError as error:
+            return error_response("bad_request", f"missing field {error}")
+        try:
+            return self.handle(message).to_wire()
+        except SubmitRejected as rejection:
+            wire = error_response(rejection.code, str(rejection))
+            if rejection.tenant is not None:
+                wire["tenant"] = rejection.tenant
+            if rejection.details:
+                wire["details"] = rejection.details
+            return wire
+        except KeyError as error:
+            return error_response("unknown_job", str(error))
+        except (TypeError, ValueError) as error:
+            return error_response("bad_request", str(error))
+
+    def handle(self, message: Request) -> Response:
+        """Apply one typed request; subclasses implement this.
+
+        Raises:
+            SubmitRejected: When admission control refuses a submit.
+            KeyError: For a status/cancel naming an unknown job.
         """
         raise NotImplementedError
 
@@ -164,33 +194,6 @@ class ServiceServer(LineServer):
             ``drain`` op, or a drain requested before the call).
         """
         return await self.serve_sockets(self.service.run())
-
-    def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one wire request to the service; never raises.
-
-        Version-1 dicts (no ``version`` field) and version-2 messages
-        both decode through :func:`request_from_wire`; the response is
-        the typed handler's wire form.
-        """
-        try:
-            message = request_from_wire(request)
-        except ValueError as error:
-            return error_response("bad_request", str(error))
-        except KeyError as error:
-            return error_response("bad_request", f"missing field {error}")
-        try:
-            return self.handle(message).to_wire()
-        except SubmitRejected as rejection:
-            wire = error_response(rejection.code, str(rejection))
-            if rejection.tenant is not None:
-                wire["tenant"] = rejection.tenant
-            if rejection.details:
-                wire["details"] = rejection.details
-            return wire
-        except KeyError as error:
-            return error_response("unknown_job", str(error))
-        except (TypeError, ValueError) as error:
-            return error_response("bad_request", str(error))
 
     def handle(self, message: Request) -> Response:
         """Apply one typed request to the service; returns the result.

@@ -9,9 +9,15 @@ Three layers (see ``docs/verification.md``):
   a run breaks the model;
 * :mod:`repro.verify.reference` + :mod:`repro.verify.differential` —
   naive scalar re-implementations of Eq. 3/4 and exact matchers used
-  as differential oracles against the optimized hot paths;
-  :mod:`repro.verify.fleet` extends the pattern to the sharded fleet
-  (:func:`compare_fleet_serial`: shard results vs serial VC replays);
+  as differential oracles against the optimized hot paths, plus the
+  result oracles: each extension arm must degenerate bit-identically
+  to plain Muri (:func:`compare_homogeneous_identity`,
+  :func:`compare_uniform_scaling_identity`,
+  :func:`compare_flat_identity`) and fleet shards must match serial VC
+  replays (:func:`compare_fleet_serial`).  All four diff the whole
+  ``SimulationResult.to_dict()`` through one
+  :func:`result_mismatches`, minus ``wall_clock`` and only the fields
+  each oracle names as differing by construction;
 * :mod:`repro.verify.fuzz` + :mod:`repro.verify.repro_file` — seeded
   episode fuzzing (``repro fuzz``) whose failures shrink into
   replayable JSON repro files.
@@ -24,6 +30,7 @@ from repro.verify.differential import (
     compare_groups_exact,
     compare_pairs_exact,
     plan_signature,
+    result_mismatches,
 )
 from repro.verify.elastic import compare_flat_identity, run_elastic_oracle
 from repro.verify.fleet import compare_fleet_serial
@@ -79,6 +86,7 @@ __all__ = [
     "run_elastic_oracle",
     "IncrementalOracle",
     "plan_signature",
+    "result_mismatches",
     "EpisodeSpec",
     "EpisodeOutcome",
     "JobSpecData",

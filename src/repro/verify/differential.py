@@ -23,6 +23,11 @@ correct implementations and compare:
   total bounds the heuristic's full-size groups from above; the
   heuristic must reach a configurable fraction of it.
 
+:func:`result_mismatches` is the one whole-result diff behind every
+bit-identity oracle (homogeneous, uniform-scaling, flat-elastic and
+shard-vs-serial): it compares two :class:`SimulationResult` s over
+their full :meth:`~SimulationResult.to_dict` surface.
+
 All mismatches raise :class:`~repro.verify.invariants.InvariantViolation`
 with a ``differential.*`` invariant name, so fuzzing and tests handle
 spec violations and optimization bugs uniformly.
@@ -31,7 +36,9 @@ spec violations and optimization bugs uniformly.
 from __future__ import annotations
 
 from typing import (
+    Any,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     List,
@@ -51,6 +58,7 @@ from repro.matching.exact import brute_force_matching, exact_hypergraph_matching
 from repro.core.efficiency import efficiency_for_period
 from repro.core.ordering import best_ordering
 from repro.schedulers.base import Scheduler
+from repro.sim.metrics import SimulationResult
 from repro.verify.invariants import InvariantViolation, check_group_wellformed
 
 __all__ = [
@@ -62,7 +70,60 @@ __all__ = [
     "compare_pairs_exact",
     "compare_groups_exact",
     "IncrementalOracle",
+    "result_mismatches",
 ]
+
+#: Diverging keys or points reported per field; bounds the details of
+#: a 100k-job divergence.
+_MAX_REPORTED = 16
+
+
+def result_mismatches(
+    left: SimulationResult,
+    right: SimulationResult,
+    ignore: Collection[str] = (),
+) -> Dict[str, Any]:
+    """Field-by-field diff of two results' :meth:`~SimulationResult.to_dict`.
+
+    ``wall_clock`` is host timing and always skipped; ``ignore`` names
+    further top-level fields the caller expects to differ by
+    construction.
+
+    Returns:
+        ``{field: detail}`` for every diverging field — empty when the
+        results are bit-identical.  Mapping fields report both sizes
+        and the first diverging keys (job ids in numeric order); list
+        fields (the time series) both lengths and the first diverging
+        index; anything else both values.
+    """
+    skip = {"wall_clock", *ignore}
+    left_data, right_data = left.to_dict(), right.to_dict()
+    mismatches: Dict[str, Any] = {}
+    for key in sorted((left_data.keys() | right_data.keys()) - skip):
+        a, b = left_data.get(key), right_data.get(key)
+        if a == b:
+            continue
+        if isinstance(a, dict) and isinstance(b, dict):
+            diverging = [k for k in a.keys() | b.keys() if a.get(k) != b.get(k)]
+            # Job-id keys are decimal strings: (length, text) is numeric order.
+            diverging.sort(key=lambda k: (len(k), k))
+            mismatches[key] = {
+                "left_size": len(a),
+                "right_size": len(b),
+                "diverging": diverging[:_MAX_REPORTED],
+            }
+        elif isinstance(a, list) and isinstance(b, list):
+            mismatches[key] = {
+                "left_points": len(a),
+                "right_points": len(b),
+                "first_diverging": next(
+                    (i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                    min(len(a), len(b)),
+                ),
+            }
+        else:
+            mismatches[key] = {"left": a, "right": b}
+    return mismatches
 
 
 def jobs_from_rows(

@@ -5,11 +5,12 @@ Two guarantees back ``repro.elastic`` (see ``docs/elastic.md``):
 * **Degeneracy** — :func:`compare_flat_identity`: on a workload with
   no usable scalability curve (every job rigid or flat-profiled),
   :class:`~repro.elastic.ElasticMuriScheduler` must reproduce
-  :class:`~repro.core.muri.MuriScheduler` *bit-identically* — same
-  JCTs, same finish times, same preemption counts, same cluster
-  time series.  Renegotiation returns early without touching any
-  scheduler state, so the inherited ``decide`` is provably the same
-  code on the same inputs; this oracle certifies it end to end.
+  :class:`~repro.core.muri.MuriScheduler` *bit-identically* — the
+  whole :func:`~repro.verify.differential.result_mismatches` surface
+  except the scheduler's name.  Renegotiation returns early without
+  touching any scheduler state, so the inherited ``decide`` is
+  provably the same code on the same inputs; this oracle certifies it
+  end to end.
 * **Cache soundness under resizes** — :func:`run_elastic_oracle`:
   a warm elastic scheduler (overflow reservoir, per-bucket decision
   caches) wrapped in
@@ -31,24 +32,10 @@ from repro.cluster.cluster import Cluster
 from repro.jobs.job import JobSpec
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import ClusterSimulator
-from repro.verify.differential import IncrementalOracle
+from repro.verify.differential import IncrementalOracle, result_mismatches
 from repro.verify.invariants import InvariantViolation
 
 __all__ = ["compare_flat_identity", "run_elastic_oracle"]
-
-
-def _simulate(
-    scheduler,
-    specs: Sequence[JobSpec],
-    cluster_shape: Tuple[int, int],
-    sim_kwargs: Dict,
-    trace_name: str,
-) -> SimulationResult:
-    machines, gpus = cluster_shape
-    simulator = ClusterSimulator(
-        scheduler, cluster=Cluster(machines, gpus), **sim_kwargs
-    )
-    return simulator.run(specs, trace_name=trace_name)
 
 
 def compare_flat_identity(
@@ -94,43 +81,21 @@ def compare_flat_identity(
     scheduler_kwargs = dict(scheduler_kwargs or {})
     sim_kwargs = dict(sim_kwargs or {})
 
-    baseline = _simulate(
+    machines, gpus = cluster_shape
+    baseline = ClusterSimulator(
         MuriScheduler(policy=policy, **scheduler_kwargs),
-        specs, cluster_shape, sim_kwargs, trace_name,
-    )
-    elastic = _simulate(
+        cluster=Cluster(machines, gpus), **sim_kwargs,
+    ).run(specs, trace_name=trace_name)
+    elastic = ClusterSimulator(
         ElasticMuriScheduler(policy=policy, **scheduler_kwargs),
-        specs, cluster_shape, sim_kwargs, trace_name,
-    )
+        cluster=Cluster(machines, gpus), **sim_kwargs,
+    ).run(specs, trace_name=trace_name)
 
-    mismatches = {}
-    if baseline.jcts != elastic.jcts:
-        mismatches["jcts"] = {
-            "baseline_jobs": len(baseline.jcts),
-            "elastic_jobs": len(elastic.jcts),
-            "diverging": sorted(
-                job_id
-                for job_id in set(baseline.jcts) | set(elastic.jcts)
-                if baseline.jcts.get(job_id) != elastic.jcts.get(job_id)
-            )[:16],
-        }
-    if baseline.finish_times != elastic.finish_times:
-        mismatches["finish_times"] = True
-    if baseline.total_preemptions != elastic.total_preemptions:
-        mismatches["total_preemptions"] = {
-            "baseline": baseline.total_preemptions,
-            "elastic": elastic.total_preemptions,
-        }
-    if baseline.total_restart_time != elastic.total_restart_time:
-        mismatches["total_restart_time"] = {
-            "baseline": baseline.total_restart_time,
-            "elastic": elastic.total_restart_time,
-        }
-    if baseline.timeseries != elastic.timeseries:
-        mismatches["timeseries"] = {
-            "baseline_points": len(baseline.timeseries),
-            "elastic_points": len(elastic.timeseries),
-        }
+    mismatches = result_mismatches(
+        baseline, elastic,
+        # The subclass names itself "Elastic-Muri-S", by design.
+        ignore=("scheduler_name",),
+    )
     if mismatches:
         raise InvariantViolation(
             "differential.elastic_flat",
@@ -197,7 +162,8 @@ def run_elastic_oracle(
         )
 
     oracle = IncrementalOracle(build(), build)
-    result = _simulate(
-        oracle, specs, cluster_shape, sim_kwargs, trace_name
-    )
+    machines, gpus = cluster_shape
+    result = ClusterSimulator(
+        oracle, cluster=Cluster(machines, gpus), **sim_kwargs
+    ).run(specs, trace_name=trace_name)
     return result, oracle.checks

@@ -24,29 +24,10 @@ from repro.fleet.frontend import FleetFrontEnd
 from repro.fleet.shard import SchedulerShard
 from repro.fleet.topology import VirtualCluster
 from repro.sim.metrics import SimulationResult
+from repro.verify.differential import result_mismatches
 from repro.verify.invariants import InvariantViolation
 
 __all__ = ["compare_fleet_serial"]
-
-
-def _compare_field(
-    vc: str,
-    field: str,
-    sharded: object,
-    serial: object,
-) -> None:
-    """One field of the per-VC results must match exactly."""
-    if sharded != serial:
-        raise InvariantViolation(
-            "differential.fleet",
-            f"shard {vc!r} diverged from its serial replay on {field}",
-            details={
-                "vc": vc,
-                "field": field,
-                "sharded": repr(sharded)[:2000],
-                "serial": repr(serial)[:2000],
-            },
-        )
 
 
 def compare_fleet_serial(
@@ -59,10 +40,12 @@ def compare_fleet_serial(
     there are re-submitted in admission order to a fresh standalone
     shard, which then drains on its own.  Specs are immutable and job
     ids fleet-unique, so the serial run reproduces the exact stream —
-    and every per-shard result field (JCTs, finish times, submit
-    times, preemptions, makespan) must match with ``==``, no
-    tolerance.  A divergence means fleet routing or shard isolation
-    leaked state into scheduling decisions.
+    and the whole per-shard result (every
+    :func:`~repro.verify.differential.result_mismatches` field: JCTs,
+    finish and submit times, preemption and restart accounting, the
+    time series) must match with ``==``, no tolerance.  A divergence
+    means fleet routing or shard isolation leaked state into
+    scheduling decisions.
 
     Args:
         frontend: A fleet that has fully drained (``run_sync``/``run``
@@ -77,7 +60,7 @@ def compare_fleet_serial(
 
     Raises:
         InvariantViolation: With invariant ``differential.fleet`` on
-            the first diverging shard/field.
+            the first diverging shard, naming every diverging field.
         ValueError: When the fleet has not drained yet.
     """
     if frontend.result is None:
@@ -100,20 +83,12 @@ def compare_fleet_serial(
         sharded = frontend.shards[vc.name].service.result
         if sharded is None:
             raise ValueError(f"fleet shard {vc.name!r} never drained")
-        _compare_field(vc.name, "jcts", sharded.jcts, serial.jcts)
-        _compare_field(
-            vc.name, "finish_times", sharded.finish_times, serial.finish_times
-        )
-        _compare_field(
-            vc.name, "submit_times", sharded.submit_times, serial.submit_times
-        )
-        _compare_field(
-            vc.name,
-            "total_preemptions",
-            sharded.total_preemptions,
-            serial.total_preemptions,
-        )
-        _compare_field(
-            vc.name, "makespan", sharded.makespan, serial.makespan
-        )
+        mismatches = result_mismatches(sharded, serial)
+        if mismatches:
+            raise InvariantViolation(
+                "differential.fleet",
+                f"shard {vc.name!r} diverged from its serial replay on "
+                f"{', '.join(mismatches)}",
+                details={"vc": vc.name, "mismatches": mismatches},
+            )
     return serial_results

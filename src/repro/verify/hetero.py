@@ -8,9 +8,9 @@ cache-key suffixes — must collapse into a no-op.
 :func:`compare_homogeneous_identity` certifies it end to end by
 running the single-type heterogeneous configuration against a plain
 homogeneous cluster whose jobs carry the *identical pre-scaled
-profiles* but no affinity, and demanding bit-identical results: same
-JCTs, same finish times, same preemption counts, same cluster time
-series.
+profiles* but no affinity, and demanding bit-identical results: the
+whole :func:`~repro.verify.differential.result_mismatches` surface
+except the per-generation accounting only the typed side has.
 
 Mismatches raise :class:`~repro.verify.invariants.InvariantViolation`
 with invariant name ``differential.homogeneous``, matching the other
@@ -36,23 +36,13 @@ from repro.hetero.workload import make_hetero_cluster, pin_jobs
 from repro.jobs.job import JobSpec
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import ClusterSimulator
+from repro.verify.differential import result_mismatches
 from repro.verify.invariants import InvariantViolation
 
 __all__ = [
     "compare_homogeneous_identity",
     "compare_uniform_scaling_identity",
 ]
-
-
-def _simulate(
-    scheduler,
-    specs: Sequence[JobSpec],
-    cluster: Cluster,
-    sim_kwargs: Dict,
-    trace_name: str,
-) -> SimulationResult:
-    simulator = ClusterSimulator(scheduler, cluster=cluster, **sim_kwargs)
-    return simulator.run(specs, trace_name=trace_name)
 
 
 def compare_homogeneous_identity(
@@ -103,23 +93,20 @@ def compare_homogeneous_identity(
     pinned = pin_jobs(specs, [type_name], seed=seed, scaling=scaling)
     stripped = [replace(spec, gpu_affinity=None) for spec in pinned]
 
-    homogeneous = _simulate(
+    homogeneous = ClusterSimulator(
+        make_scheduler(scheduler), cluster=Cluster(machines, gpus),
+        **sim_kwargs,
+    ).run(stripped, trace_name=trace_name)
+    hetero = ClusterSimulator(
         make_scheduler(scheduler),
-        stripped,
-        Cluster(machines, gpus),
-        sim_kwargs,
-        trace_name,
-    )
-    hetero = _simulate(
-        make_scheduler(scheduler),
-        pinned,
-        Cluster(machines, gpus, machine_types=[gpu_type] * machines),
-        sim_kwargs,
-        trace_name,
-    )
+        cluster=Cluster(machines, gpus, machine_types=[gpu_type] * machines),
+        **sim_kwargs,
+    ).run(pinned, trace_name=trace_name)
 
-    mismatches = _result_mismatches(
-        homogeneous, hetero, "homogeneous", "hetero"
+    mismatches = result_mismatches(
+        homogeneous, hetero,
+        # Only the typed side accounts GPU time per generation.
+        ignore=("gpu_seconds_by_type", "gpus_by_type"),
     )
     if mismatches:
         raise InvariantViolation(
@@ -129,44 +116,6 @@ def compare_homogeneous_identity(
             details={"mismatches": mismatches},
         )
     return homogeneous, hetero
-
-
-def _result_mismatches(
-    left: SimulationResult,
-    right: SimulationResult,
-    left_label: str,
-    right_label: str,
-) -> Dict[str, object]:
-    """Full-surface divergence report between two simulation results."""
-    mismatches: Dict[str, object] = {}
-    if left.jcts != right.jcts:
-        mismatches["jcts"] = {
-            f"{left_label}_jobs": len(left.jcts),
-            f"{right_label}_jobs": len(right.jcts),
-            "diverging": sorted(
-                job_id
-                for job_id in set(left.jcts) | set(right.jcts)
-                if left.jcts.get(job_id) != right.jcts.get(job_id)
-            )[:16],
-        }
-    if left.finish_times != right.finish_times:
-        mismatches["finish_times"] = True
-    if left.total_preemptions != right.total_preemptions:
-        mismatches["total_preemptions"] = {
-            left_label: left.total_preemptions,
-            right_label: right.total_preemptions,
-        }
-    if left.total_restart_time != right.total_restart_time:
-        mismatches["total_restart_time"] = {
-            left_label: left.total_restart_time,
-            right_label: right.total_restart_time,
-        }
-    if left.timeseries != right.timeseries:
-        mismatches["timeseries"] = {
-            f"{left_label}_points": len(left.timeseries),
-            f"{right_label}_points": len(right.timeseries),
-        }
-    return mismatches
 
 
 def compare_uniform_scaling_identity(
@@ -242,26 +191,16 @@ def compare_uniform_scaling_identity(
             machines, gpus, type_names=tuple(type_names), seed=seed
         )
 
-    baseline = _simulate(
-        make_scheduler(scheduler),
-        pinned,
-        typed_cluster(),
-        dict(sim_kwargs, landing_speed_scaling=uniform),
-        trace_name,
-    )
-    aware = _simulate(
-        make_scheduler(scheduler),
-        pinned,
-        typed_cluster(),
-        dict(
-            sim_kwargs,
-            landing_speed_scaling=uniform,
-            placer=ThroughputAwarePlacer(scaling=uniform),
-        ),
-        trace_name,
-    )
+    sim_kwargs["landing_speed_scaling"] = uniform
+    baseline = ClusterSimulator(
+        make_scheduler(scheduler), cluster=typed_cluster(), **sim_kwargs
+    ).run(pinned, trace_name=trace_name)
+    sim_kwargs["placer"] = ThroughputAwarePlacer(scaling=uniform)
+    aware = ClusterSimulator(
+        make_scheduler(scheduler), cluster=typed_cluster(), **sim_kwargs
+    ).run(pinned, trace_name=trace_name)
 
-    mismatches = _result_mismatches(baseline, aware, "baseline", "aware")
+    mismatches = result_mismatches(baseline, aware)
     if mismatches:
         raise InvariantViolation(
             "differential.uniform_scaling",

@@ -46,6 +46,21 @@ class TestFlatIdentity:
         specs = workload(elastic_fraction=0.0)
         compare_flat_identity(specs, cluster_shape=CLUSTER)
 
+    def test_oracle_detects_a_divergent_elastic_plan(self, monkeypatch):
+        """Non-vacuity: an elastic scheduler that defers the last group
+        of every multi-group plan must trip the oracle."""
+        from repro.core.muri import MuriScheduler
+        from repro.elastic.scheduler import ElasticMuriScheduler
+
+        def deferring(self, *args, **kwargs):
+            plan = MuriScheduler.decide(self, *args, **kwargs)
+            return plan[:-1] if len(plan) > 1 else plan
+
+        monkeypatch.setattr(ElasticMuriScheduler, "decide", deferring)
+        with pytest.raises(InvariantViolation, match="degeneracy") as excinfo:
+            compare_flat_identity(workload(), cluster_shape=CLUSTER)
+        assert "jcts" in excinfo.value.details["mismatches"]
+
     def test_non_flat_workload_rejected(self):
         specs = workload(elastic_fraction=0.5)
         with pytest.raises(ValueError):

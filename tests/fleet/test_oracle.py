@@ -1,6 +1,7 @@
 """The shard-vs-serial differential oracle (bit-identity)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -73,7 +74,20 @@ def test_oracle_detects_divergence():
     violation = excinfo.value
     assert violation.invariant == "differential.fleet"
     assert violation.details["vc"] == "vc0"
-    assert violation.details["field"] == "jcts"
+    assert "jcts" in violation.details["mismatches"]
+
+
+def test_oracle_detects_a_perturbed_timeseries_point():
+    frontend = run_fleet("fifo", count=12)
+    shard_result = frontend.shards["vc0"].service.result
+    point = shard_result.timeseries[0]
+    shard_result.timeseries[0] = replace(
+        point, queue_length=point.queue_length + 1
+    )
+    with pytest.raises(InvariantViolation) as excinfo:
+        compare_fleet_serial(frontend, factory("fifo"))
+    assert excinfo.value.details["vc"] == "vc0"
+    assert set(excinfo.value.details["mismatches"]) == {"timeseries"}
 
 
 def test_oracle_detects_mismatched_factory():

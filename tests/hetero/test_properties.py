@@ -89,6 +89,23 @@ def test_single_type_hetero_is_bit_identical(
     assert homogeneous.jcts == hetero.jcts
 
 
+def test_homogeneous_oracle_detects_a_shrunken_type_pool(monkeypatch):
+    """Non-vacuity: a type-filtered placement pool that loses a machine
+    (only the pinned side plans on typed pools) must trip the oracle."""
+    from repro.trace.workload import build_jobs
+    from repro.verify.invariants import InvariantViolation
+
+    def shrunken(self, type_name):
+        return [m for m in self.machines if m.matches_type(type_name)][:-1]
+
+    monkeypatch.setattr(Cluster, "machines_of_type", shrunken)
+    trace = generate_trace("1", num_jobs=40, seed=0)
+    specs = [spec for spec in build_jobs(trace, seed=0) if spec.num_gpus <= 8]
+    with pytest.raises(InvariantViolation, match="homogeneous") as excinfo:
+        compare_homogeneous_identity(specs, cluster_shape=(2, 8))
+    assert "jcts" in excinfo.value.details["mismatches"]
+
+
 class TestUniformScalingIdentity:
     """The throughput-aware placer's degeneracy oracle.
 

@@ -16,17 +16,11 @@ from repro.replay import ReplayStats, replay_trace, synthetic_trace
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulator import ClusterSimulator, SimulationError
 from repro.trace.workload import build_jobs
+from repro.verify import result_mismatches
 
 
 def workload(num_jobs=500, seed=0):
     return build_jobs(synthetic_trace(num_jobs, seed=seed), seed=seed)
-
-
-def payload(result):
-    """Serialized result minus the one host-timing field."""
-    data = result.to_dict()
-    data.pop("wall_clock", None)
-    return data
 
 
 def simulator(scheduler_name="fifo", machines=32):
@@ -46,7 +40,7 @@ class TestContinuousModeIdentity:
         )
         # The full serialized result: JCTs, finish times, preemption
         # and restart accounting, the cluster time series — everything.
-        assert payload(replayed) == payload(reference)
+        assert result_mismatches(replayed, reference) == {}
         assert stats.finished_jobs == len(specs)
 
     def test_identity_includes_fault_schedules(self):
@@ -70,7 +64,7 @@ class TestContinuousModeIdentity:
             build(), list(specs), trace_name="faulty",
             batch_step_seconds=0.0,
         )
-        assert payload(replayed) == payload(reference)
+        assert result_mismatches(replayed, reference) == {}
 
 
 class TestBatchAdmission:
@@ -120,7 +114,7 @@ class TestBatchAdmission:
         second, _ = replay_trace(
             simulator(), list(specs), batch_step_seconds=300.0
         )
-        assert payload(first) == payload(second)
+        assert result_mismatches(first, second) == {}
 
 
 class TestReplayStats:

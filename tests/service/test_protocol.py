@@ -184,7 +184,34 @@ def make_server(cluster=None, **kwargs):
     return ServiceServer(service, path="/unused.sock")
 
 
+def make_fleet_server():
+    from repro.fleet import FleetFrontEnd, FleetServer, partition_cluster
+
+    frontend = FleetFrontEnd.build(partition_cluster(4, 4, 2), scheduler="fifo")
+    return FleetServer(frontend, path="/unused.sock")
+
+
+#: Well-formed JSON objects whose field *types* are wrong: decoding
+#: them raises ``TypeError`` rather than ``ValueError``/``KeyError``.
+HOSTILE_MESSAGES = {
+    "list-op": {"op": ["x"]},
+    "null-version": {"op": "ping", "version": None},
+    "null-job-id": {"op": "cancel", "job_id": None, "version": 2},
+    "list-job-id": {"op": "status", "job_id": [1], "version": 2},
+    "int-spec": {"op": "submit", "spec": 5, "version": 2},
+    "int-durations": {"op": "submit", "spec": {"durations": 5}, "version": 2},
+}
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("build", [make_server, make_fleet_server],
+                             ids=["service", "fleet"])
+    @pytest.mark.parametrize("name", HOSTILE_MESSAGES)
+    def test_mistyped_fields_are_bad_requests(self, build, name):
+        response = build().dispatch(HOSTILE_MESSAGES[name])
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+
     def test_unknown_op(self):
         response = make_server().dispatch({"op": "reboot"})
         assert response["ok"] is False

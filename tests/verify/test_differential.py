@@ -4,7 +4,14 @@ import random
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.hetero.types import get_gpu_type
+from repro.jobs.job import JobSpec
+from repro.jobs.stage import StageProfile
 from repro.matching.exact import brute_force_matching
+from repro.schedulers.registry import make_scheduler
+from repro.sim.metrics import SimulationResult
+from repro.sim.simulator import ClusterSimulator
 from repro.verify.differential import (
     compare_cold_cached,
     compare_dense_sparse,
@@ -12,6 +19,7 @@ from repro.verify.differential import (
     compare_pairs_exact,
     group_sets,
     jobs_from_rows,
+    result_mismatches,
 )
 from repro.verify.invariants import InvariantViolation
 
@@ -122,3 +130,83 @@ class TestGroupsExact:
         with pytest.raises(InvariantViolation) as exc:
             compare_groups_exact(jobs)
         assert exc.value.invariant == "differential.optimality"
+
+
+def typed_result():
+    """A real run on a typed cluster, so every ``to_dict`` key is set."""
+    rng = random.Random(3)
+    specs = [
+        JobSpec(
+            profile=StageProfile(tuple(random_rows(rng, 1)[0])),
+            num_gpus=rng.choice((1, 2, 4)),
+            num_iterations=rng.randint(20, 60),
+            submit_time=float(i),
+        )
+        for i in range(40)
+    ]
+    cluster = Cluster(2, 4, machine_types=[get_gpu_type("v100")] * 2)
+    return ClusterSimulator(
+        make_scheduler("muri-s"), cluster=cluster
+    ).run(specs, "typed")
+
+
+def perturbed(value):
+    """The same JSON value with exactly one leaf changed."""
+    if isinstance(value, str):
+        return value + "!"
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: perturbed(value[key])}
+    if isinstance(value, list):
+        return [perturbed(value[0]), *value[1:]]
+    return value + 1
+
+
+class TestResultMismatches:
+    def test_identical_results_have_no_mismatches(self):
+        result = typed_result()
+        copy = SimulationResult.from_dict(result.to_dict())
+        assert result_mismatches(result, copy) == {}
+
+    def test_every_serialized_field_is_compared(self):
+        result = typed_result()
+        payload = result.to_dict()
+        fields = set(payload) - {"format_version", "wall_clock"}
+        assert {"gpu_seconds_by_type", "gpus_by_type"} <= fields
+        for field in fields:
+            changed = SimulationResult.from_dict(
+                {**payload, field: perturbed(payload[field])}
+            )
+            assert set(result_mismatches(result, changed)) == {field}
+            assert result_mismatches(result, changed, ignore=(field,)) == {}
+
+    def test_wall_clock_is_never_compared(self):
+        result = typed_result()
+        payload = result.to_dict()
+        changed = SimulationResult.from_dict(
+            {**payload, "wall_clock": payload["wall_clock"] + 1.0}
+        )
+        assert result_mismatches(result, changed) == {}
+
+    def test_details_are_bounded(self):
+        result = typed_result()
+        payload = result.to_dict()
+        changed = SimulationResult.from_dict({
+            **payload,
+            "jcts": {k: v + 1.0 for k, v in payload["jcts"].items()},
+            "timeseries": payload["timeseries"][:-1],
+            "total_preemptions": payload["total_preemptions"] + 1,
+        })
+        mismatches = result_mismatches(result, changed)
+        first_ids = sorted(result.jcts)[:16]
+        assert mismatches["jcts"]["diverging"] == [str(i) for i in first_ids]
+        points = len(result.timeseries)
+        assert mismatches["timeseries"] == {
+            "left_points": points,
+            "right_points": points - 1,
+            "first_diverging": points - 1,
+        }
+        assert mismatches["total_preemptions"] == {
+            "left": result.total_preemptions,
+            "right": result.total_preemptions + 1,
+        }
