@@ -66,97 +66,69 @@ Quickstart::
     print(result.avg_jct, result.makespan)
 """
 
-from repro.cluster import Cluster, GpuType, Machine
-from repro.core import (
-    JobGroup,
-    MultiRoundGrouper,
-    MuriScheduler,
-    best_ordering,
-    group_speedup,
-    interleaving_efficiency,
-    pair_efficiency,
-    worst_ordering,
-)
-from repro.elastic import (
-    ElasticMuriScheduler,
-    GoodputAllocator,
-    attach_scalability,
-)
-from repro.jobs import (
-    Job,
-    JobSpec,
-    JobStatus,
-    Resource,
-    ScalabilityProfile,
-    Stage,
-    StageProfile,
-)
-from repro.matching import matching_pairs, max_weight_matching
-from repro.models import MODEL_ZOO, ModelProfile, get_model, list_models
-from repro.observe import (
-    EventCategory,
-    ProvenanceStore,
-    TraceEvent,
-    Tracer,
-    format_explain,
-    trace_summary,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.profiler import ResourceProfiler, UniformNoise
-from repro.schedulers import (
-    Scheduler,
-    available_schedulers,
-    make_scheduler,
-    register_scheduler,
-)
-from repro.sim import (
-    ClusterSimulator,
-    ContentionModel,
-    Decision,
-    DecisionLog,
-    FaultInjector,
-    SimulationResult,
-)
-from repro.fleet import (
-    FleetFrontEnd,
-    FleetTopology,
-    TenantQuota,
-    VirtualCluster,
-    partition_cluster,
-)
-from repro.service import (
-    PROTOCOL_VERSION,
-    SchedulerService,
-    ServiceClient,
-    SubmitRejected,
-)
-from repro.hetero import (
-    DEFAULT_TYPE_SCALING,
-    TypeScaling,
-    build_hetero_jobs,
-    make_hetero_cluster,
-    pin_jobs,
-)
-from repro.replay import ReplayStats, replay_trace, synthetic_trace
-from repro.sweep import ResultStore, RunResult, RunSpec, SweepRunner
-from repro.trace import (
-    Trace,
-    TraceRecord,
-    build_jobs,
-    generate_trace,
-    load_philly_csv,
-    write_philly_csv,
-)
-from repro.verify import (
-    INVARIANT_CATALOG,
-    EpisodeSpec,
-    InvariantChecker,
-    InvariantViolation,
-    compare_homogeneous_identity,
-    run_episode,
-    run_fuzz,
-)
+import importlib
+
+#: Every public name, by the subpackage that defines it.  Names are
+#: imported on first access (PEP 562), so ``import repro`` loads no
+#: subpackage and a run loads only the layers it uses.
+_EXPORTS = {
+    "repro.cluster": ("Cluster", "GpuType", "Machine"),
+    "repro.core": (
+        "JobGroup", "MultiRoundGrouper", "MuriScheduler", "best_ordering",
+        "group_speedup", "interleaving_efficiency", "pair_efficiency",
+        "worst_ordering",
+    ),
+    "repro.elastic": (
+        "ElasticMuriScheduler", "GoodputAllocator", "attach_scalability",
+    ),
+    "repro.jobs": (
+        "Job", "JobSpec", "JobStatus", "Resource", "ScalabilityProfile",
+        "Stage", "StageProfile",
+    ),
+    "repro.matching": ("matching_pairs", "max_weight_matching"),
+    "repro.models": ("MODEL_ZOO", "ModelProfile", "get_model", "list_models"),
+    "repro.observe": (
+        "EventCategory", "ProvenanceStore", "TraceEvent", "Tracer",
+        "format_explain", "trace_summary", "write_chrome_trace",
+        "write_jsonl",
+    ),
+    "repro.profiler": ("ResourceProfiler", "UniformNoise"),
+    "repro.schedulers": (
+        "Scheduler", "available_schedulers", "make_scheduler",
+        "register_scheduler",
+    ),
+    "repro.sim": (
+        "ClusterSimulator", "ContentionModel", "Decision", "DecisionLog",
+        "FaultInjector", "SimulationResult",
+    ),
+    "repro.fleet": (
+        "FleetFrontEnd", "FleetTopology", "TenantQuota", "VirtualCluster",
+        "partition_cluster",
+    ),
+    "repro.service": (
+        "PROTOCOL_VERSION", "SchedulerService", "ServiceClient",
+        "SubmitRejected",
+    ),
+    "repro.hetero": (
+        "DEFAULT_TYPE_SCALING", "TypeScaling", "build_hetero_jobs",
+        "make_hetero_cluster", "pin_jobs",
+    ),
+    "repro.replay": ("ReplayStats", "replay_trace", "synthetic_trace"),
+    "repro.sweep": ("ResultStore", "RunResult", "RunSpec", "SweepRunner"),
+    "repro.trace": (
+        "Trace", "TraceRecord", "build_jobs", "generate_trace",
+        "load_philly_csv", "write_philly_csv",
+    ),
+    "repro.verify": (
+        "INVARIANT_CATALOG", "EpisodeSpec", "InvariantChecker",
+        "InvariantViolation", "compare_homogeneous_identity", "run_episode",
+        "run_fuzz",
+    ),
+}
+
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
 
 __version__ = "1.0.0"
 
@@ -257,3 +229,16 @@ __all__ = [
     "replay_trace",
     "synthetic_trace",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -43,6 +43,11 @@ __all__ = [
 
 Offsets = Tuple[int, ...]
 
+#: Most groups :func:`batched_best_periods` scores in one numpy pass.
+#: Rows never interact, so chunking leaves every period bit-identical
+#: while capping the pass's scratch arrays (~1 MB for 512 quads).
+_BATCH_CHUNK = 512
+
 
 def slot_durations(
     profiles: Sequence[StageProfile],
@@ -166,9 +171,11 @@ def batched_best_periods(
     The grouping stage evaluates thousands of candidate pair weights
     per matching round; calling :func:`best_period_for_rows` once per
     candidate leaves most of the time in per-call numpy dispatch.  This
-    kernel stacks every group's cached slot-max tables into one
+    kernel stacks the groups' cached slot-max tables into a
     ``(groups, jobs, k, k)`` array and evaluates all offset
-    assignments for all groups in a single vectorized pass.
+    assignments for all of them in one vectorized pass — at most
+    ``_BATCH_CHUNK`` groups per pass, so scratch memory stays bounded
+    however many candidates a round scores.
 
     Args:
         groups: Candidate groups of raw duration tuples; every group
@@ -184,9 +191,23 @@ def batched_best_periods(
     """
     if not groups:
         return []
-    k = num_resources
     m = len(groups[0])
-    _assignments, index = _assignment_table(m, k)
+    index = _assignment_table(m, num_resources)[1]
+    periods: List[float] = []
+    for start in range(0, len(groups), _BATCH_CHUNK):
+        periods.extend(_chunk_best_periods(
+            groups[start:start + _BATCH_CHUNK], m, index, num_resources
+        ))
+    return periods
+
+
+def _chunk_best_periods(
+    groups: Sequence[Sequence[Tuple[float, ...]]],
+    m: int,
+    index: np.ndarray,
+    k: int,
+) -> List[float]:
+    """One numpy pass of :func:`batched_best_periods` over ``groups``."""
     tables = [None] * (len(groups) * m)
     pos = 0
     for rows in groups:

@@ -24,7 +24,6 @@ property :func:`repro.verify.compare_fleet_serial` enforces.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -396,6 +395,8 @@ class FleetFrontEnd:
         shared event loop (paced by its own clock); the front-end
         gathers them and merges the drained results.
         """
+        import asyncio
+
         results = await asyncio.gather(
             *(shard.service.run() for shard in self.shards.values())
         )

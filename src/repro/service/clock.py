@@ -16,9 +16,11 @@ loop acts on it (processes the horizon's events, reports a drain).
 
 from __future__ import annotations
 
-import asyncio
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import asyncio
 
 __all__ = ["VirtualClock", "WallClock"]
 
@@ -38,6 +40,8 @@ class VirtualClock:
         wake: Optional[asyncio.Event] = None,
     ) -> None:
         """Yield to other tasks without waiting for real time."""
+        import asyncio
+
         await asyncio.sleep(0)
 
 
@@ -76,6 +80,8 @@ class WallClock:
             wake: Optional event that interrupts the sleep early (a
                 submission or drain changed the horizon).
         """
+        import asyncio
+
         if sim_deadline is None:
             await asyncio.sleep(0)
             return

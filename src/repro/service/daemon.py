@@ -25,8 +25,7 @@ clients go through :class:`~repro.service.server.ServiceServer`.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.jobs.job import JobSpec, JobStatus
 from repro.observe.events import EventCategory
@@ -34,6 +33,9 @@ from repro.observe.tracer import Tracer
 from repro.service.clock import VirtualClock
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import ClusterSimulator
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import asyncio
 
 __all__ = ["SchedulerService", "SubmitRejected"]
 
@@ -274,6 +276,8 @@ class SchedulerService:
         cancels, and drain requests wake the loop immediately; a live
         submission therefore lands on the next horizon boundary.
         """
+        import asyncio
+
         self._wake = asyncio.Event()
         try:
             while not self.is_done:

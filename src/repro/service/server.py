@@ -15,10 +15,9 @@ post-drain linger, and socket cleanup.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import time
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.service.daemon import SchedulerService, SubmitRejected
 from repro.service.protocol import (
@@ -42,6 +41,9 @@ from repro.service.protocol import (
     request_from_wire,
 )
 from repro.sim.metrics import SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import asyncio
 
 __all__ = ["LineServer", "ServiceServer"]
 
@@ -113,6 +115,8 @@ class LineServer:
                 or fleet's main loop); its result is returned once the
                 linger period ends.
         """
+        import asyncio
+
         server = await asyncio.start_unix_server(
             self._handle_client, path=self.path
         )

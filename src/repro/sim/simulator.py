@@ -75,9 +75,30 @@ class _RunningGroup:
     #: GPU slots held per generation name; None on untyped clusters,
     #: where per-generation occupancy is not tracked.
     slots_by_type: Optional[Dict[str, int]] = None
+    #: ``(key, period)`` of the last :meth:`period` computation.  The
+    #: key is ``(len(active), contention, uncoordinated_penalty,
+    #: speedup)``: ``active`` only ever shrinks (members finish or
+    #: fault out) and a resize stops the group first, so a member
+    #: count names one member set and its profiles.
+    _period_memo: Optional[Tuple[tuple, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def period(self, contention: ContentionModel, uncoordinated_penalty: float) -> float:
         """Current true iteration period of the active members."""
+        key = (len(self.active), contention, uncoordinated_penalty, self.speedup)
+        memo = self._period_memo
+        # The contention model is matched by identity, the rest by value.
+        if memo is not None and memo[0][1] is contention and memo[0] == key:
+            return memo[1]
+        value = self._compute_period(contention, uncoordinated_penalty)
+        self._period_memo = (key, value)
+        return value
+
+    def _compute_period(
+        self, contention: ContentionModel, uncoordinated_penalty: float
+    ) -> float:
+        """:meth:`period` without the memo."""
         profiles = tuple(job.profile for job in self.active)
         offsets = tuple(self.offsets[job.job_id] for job in self.active)
         base = group_iteration_time(profiles, offsets, self.group.num_resources)

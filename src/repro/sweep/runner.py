@@ -263,43 +263,44 @@ class SweepRunner:
         return results
 
     def _execute_pooled(self, tasks: List[_Task]) -> Dict[str, RunResult]:
-        """Process-pool execution with timeouts, retries, and rebuilds."""
+        """Process-pool execution with timeouts, retries, and rebuilds.
+
+        A worker that dies breaks the whole pool, and every task aboard
+        fails with it, so a broken pool charges no attempt.  Its tasks
+        re-run one at a time in a fresh pool ("suspects") before any
+        other work; only a task that breaks a pool on its own is
+        charged, and it stays a suspect while it has retries left.
+        """
         results: Dict[str, RunResult] = {}
         pending = deque(tasks)
+        suspects: deque = deque()
         executor = self._new_pool()
         inflight: Dict[Any, Tuple[_Task, Optional[float]]] = {}
         try:
-            while pending or inflight:
-                while pending and len(inflight) < self.max_workers:
-                    task = pending.popleft()
-                    task.attempts += 1
-                    future = executor.submit(
-                        _worker_entry, task.kind, task.payload
-                    )
-                    deadline = (
-                        time.monotonic() + self.timeout
-                        if self.timeout is not None else None
-                    )
-                    inflight[future] = (task, deadline)
-                    self._emit(
-                        "sweep.run.submitted", run_id=task.run_id,
-                        attempt=task.attempts,
-                    )
+            while pending or suspects or inflight:
+                # A pool that broke between polls refuses submissions;
+                # its in-flight futures fail on the next wait.
+                refused = False
+                if suspects:
+                    if not inflight:
+                        refused = not self._submit(executor, suspects, inflight)
+                else:
+                    while pending and len(inflight) < self.max_workers:
+                        if not self._submit(executor, pending, inflight):
+                            refused = True
+                            break
 
                 done, _ = wait(
                     list(inflight), timeout=_POLL_INTERVAL,
                     return_when=FIRST_COMPLETED,
                 )
-                broken = False
+                aboard = []
                 for future in done:
                     task, _deadline = inflight.pop(future)
                     try:
                         payload = future.result()
                     except BrokenProcessPool:
-                        broken = True
-                        self._requeue_or_fail(
-                            task, "worker process died", pending, results
-                        )
+                        aboard.append(task)
                         continue
                     results[task.run_id] = RunResult(
                         run_id=task.run_id,
@@ -312,16 +313,20 @@ class SweepRunner:
                     )
                     self._record_done(results[task.run_id])
 
-                if broken:
-                    # The pool is unusable: recover every in-flight
-                    # task (their work is lost, not their fault — no
-                    # attempt is charged) and start a fresh pool.
-                    for future, (task, _deadline) in inflight.items():
-                        task.attempts -= 1
-                        pending.appendleft(task)
+                if aboard or (refused and not inflight):
+                    aboard.extend(task for task, _deadline in inflight.values())
                     inflight.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = self._new_pool()
+                    if len(aboard) == 1:
+                        self._requeue_or_fail(
+                            aboard[0], "worker process died", suspects,
+                            results,
+                        )
+                    else:
+                        for task in aboard:
+                            task.attempts -= 1
+                        suspects.extend(aboard)
                     continue
 
                 if self.timeout is not None and inflight:
@@ -338,6 +343,26 @@ class SweepRunner:
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return results
+
+    def _submit(self, executor, queue, inflight) -> bool:
+        """Start the task at the head of ``queue``; False when the pool
+        is already broken (the task stays queued, uncharged)."""
+        task = queue[0]
+        try:
+            future = executor.submit(_worker_entry, task.kind, task.payload)
+        except BrokenProcessPool:
+            return False
+        queue.popleft()
+        task.attempts += 1
+        deadline = (
+            time.monotonic() + self.timeout
+            if self.timeout is not None else None
+        )
+        inflight[future] = (task, deadline)
+        self._emit(
+            "sweep.run.submitted", run_id=task.run_id, attempt=task.attempts,
+        )
+        return True
 
     def _handle_timeouts(self, executor, expired, inflight, pending, results):
         """Kill the pool to unstick hung workers; requeue the innocents."""

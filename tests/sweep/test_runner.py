@@ -48,6 +48,12 @@ def _crash_on_crash_label(spec):
     return _fake_sim(spec)
 
 
+def _crash_on_crash_prefix(spec):
+    if spec.label.startswith("crash"):
+        os._exit(13)
+    return _fake_sim(spec)
+
+
 def _hang_on_hang_label(spec):
     if spec.label == "hang":
         time.sleep(60.0)
@@ -224,6 +230,30 @@ def test_crashed_worker_is_retried_then_failed(monkeypatch):
     assert crashed.attempts == 2
     assert tracer.counters["sweep.runs.retried"] >= 1
     assert tracer.counters["sweep.runs.failed"] == 1
+
+
+def test_broken_pool_charges_only_the_crashing_cells(monkeypatch):
+    """Healthy cells aboard a pool a neighbour broke are re-run, never
+    charged: exactly the two crashing cells end as errors."""
+    _patch_execute(monkeypatch, _crash_on_crash_prefix)
+    tracer = Tracer()
+    labels = ["good-1", "crash-1", "good-2", "good-3", "crash-2", "good-4"]
+    specs = [_spec(label, seed) for seed, label in enumerate(labels)]
+    runner = SweepRunner(
+        max_workers=3, retries=1, backoff=0.0,
+        mp_context=FORK, tracer=tracer,
+    )
+    results = runner.run(specs)
+    failed = {spec.label for spec in specs if not results[spec.run_id].ok}
+    assert failed == {"crash-1", "crash-2"}
+    for spec in specs:
+        result = results[spec.run_id]
+        if spec.label.startswith("crash"):
+            assert "worker process died" in result.error
+            assert result.attempts == 2
+        else:
+            assert result.attempts == 1
+    assert tracer.counters["sweep.runs.failed"] == 2
 
 
 def test_hung_worker_times_out(monkeypatch):
