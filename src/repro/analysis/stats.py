@@ -4,14 +4,14 @@ Single-seed speedups can flatter or understate a scheduler; this
 module provides seeded bootstrap confidence intervals for means and
 for ratio-of-means speedups, plus a multi-seed experiment helper, so
 claims like "Muri-L beats Tiresias" carry uncertainty estimates.
+numpy is imported inside the functions that use it, so importing this
+module (and ``repro.cli``, which does) loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "ConfidenceInterval",
@@ -69,6 +69,8 @@ def bootstrap_mean_ci(
         raise ValueError("cannot bootstrap an empty sample")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
+    import numpy as np
+
     data = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
     means = rng.choice(data, size=(resamples, data.size), replace=True).mean(axis=1)
@@ -98,6 +100,8 @@ def bootstrap_speedup_ci(
         raise ValueError("cannot bootstrap an empty sample")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
+    import numpy as np
+
     baseline = np.asarray(baseline_values, dtype=float)
     treatment = np.asarray(treatment_values, dtype=float)
     rng = np.random.default_rng(seed)
@@ -147,6 +151,8 @@ def summarize_speedups(
     seed: int = 0,
 ) -> Dict[str, float]:
     """Summary statistics of a speedup sample."""
+    import numpy as np
+
     interval = bootstrap_mean_ci(speedups, confidence=confidence, seed=seed)
     data = np.asarray(speedups, dtype=float)
     return {

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 from repro.core.group import JobGroup
 from repro.core.ordering import slot_durations
 from repro.jobs.resources import RESOURCE_ORDER, Resource
+from repro.numeric import ordered_sum
 
 __all__ = ["render_group_schedule", "render_sparkline"]
 
@@ -50,7 +51,7 @@ def render_group_schedule(
     )
     k = group.num_resources
     slots = slot_durations(profiles, group.offsets, k)
-    period = sum(slots)
+    period = ordered_sum(slots)
     if period <= 0:
         raise ValueError("cannot render a zero-length period")
 
@@ -116,7 +117,7 @@ def render_sparkline(
             lo = int(index * step)
             hi = max(lo + 1, int((index + 1) * step))
             chunk = samples[lo:hi]
-            pooled.append(sum(chunk) / len(chunk))
+            pooled.append(ordered_sum(chunk) / len(chunk))
         samples = pooled
     ceiling = maximum if maximum is not None else max(samples)
     if ceiling <= 0:

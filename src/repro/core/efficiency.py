@@ -25,6 +25,7 @@ from repro.core.ordering import (
     identity_ordering,
     worst_ordering,
 )
+from repro.numeric import ordered_sum
 
 __all__ = [
     "interleaving_efficiency",
@@ -69,7 +70,7 @@ def efficiency_for_period(
         raise ValueError("period must be > 0")
     idle_fraction_sum = 0.0
     for resource in range(num_resources):
-        busy = sum(p.durations[resource] for p in profiles)
+        busy = ordered_sum(p.durations[resource] for p in profiles)
         idle_fraction_sum += (period - busy) / period
     return 1.0 - idle_fraction_sum / num_resources
 
@@ -126,4 +127,4 @@ def group_speedup(
     interleaving of p jobs yields p.
     """
     _, period = _resolve_ordering(profiles, ordering, offsets, num_resources)
-    return sum(p.iteration_time / period for p in profiles)
+    return ordered_sum(p.iteration_time / period for p in profiles)

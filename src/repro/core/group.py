@@ -11,6 +11,7 @@ which is how profiling noise degrades performance (Fig. 14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.efficiency import efficiency_for_period
@@ -18,6 +19,7 @@ from repro.core.ordering import Offsets, group_iteration_time
 from repro.jobs.job import Job
 from repro.jobs.resources import NUM_RESOURCES
 from repro.jobs.stage import StageProfile
+from repro.numeric import ordered_sum
 
 __all__ = ["JobGroup"]
 
@@ -77,14 +79,16 @@ class JobGroup:
 
     # -- believed (scheduler-side) metrics ---------------------------------
 
-    @property
+    # The group is frozen, so its believed metrics are computed once;
+    # armed runs read them again for every provenance record.
+    @cached_property
     def believed_period(self) -> float:
         """Iteration period T the scheduler expects (Eq. 3)."""
         return group_iteration_time(
             self.believed_profiles, self.offsets, self.num_resources
         )
 
-    @property
+    @cached_property
     def believed_efficiency(self) -> float:
         """Interleaving efficiency gamma the scheduler expects (Eq. 4)."""
         return efficiency_for_period(
@@ -126,7 +130,9 @@ class JobGroup:
 
     def busy_time(self, resource: int) -> float:
         """Seconds per period the group keeps ``resource`` busy."""
-        return sum(job.profile.durations[resource] for job in self.jobs)
+        return ordered_sum(
+            job.profile.durations[resource] for job in self.jobs
+        )
 
     def peak_memory_gb(self, residual: float = 0.10) -> Optional[float]:
         """Peak per-GPU memory of the interleaved group (section 2.2).

@@ -42,8 +42,8 @@ scaling" in ``docs/simulation_model.md``):
   (:mod:`repro.matching.sparsify`) instead of all O(n^2) edges; below
   the threshold the dense build runs and results are bit-identical to
   the dense algorithm.
-* **Vectorized weight kernels.**  Edge weights evaluate all offset
-  assignments in one batch from cached slot-max tables
+* **Cached weight kernels.**  Edge weights score all offset
+  assignments from cached per-profile rotations
   (:func:`repro.core.ordering.best_period_for_rows`).
 * **Quantized weight cache.**  With ``cache_quantum > 0`` the weight
   cache keys snap durations to a grid, so profiling noise does not
@@ -80,6 +80,7 @@ from repro.matching.sparsify import (
     node_signature,
     sparse_candidate_edges,
 )
+from repro.numeric import ordered_sum
 from repro.observe.events import EventCategory
 from repro.observe.provenance import CandidateConsidered, GroupDecision
 from repro.observe.tracer import Tracer, maybe_span
@@ -682,12 +683,12 @@ class MultiRoundGrouper:
         subset: List[_Node],
         pairs: Sequence[Tuple[int, int]],
     ) -> List[Optional[float]]:
-        """Vectorized :meth:`_pair_weight` over many candidate pairs.
+        """Batched :meth:`_pair_weight` over many candidate pairs.
 
         Feasibility checks and the weight cache are walked pair-by-pair
         in order (so cache hit/miss counters and cache contents match
         the scalar path exactly); the uncached weights are then
-        evaluated in one :func:`batched_best_periods` numpy batch per
+        evaluated in one :func:`batched_best_periods` call per
         merged-group size.  Results are bit-identical to calling
         ``_pair_weight`` per pair: the batched kernel reproduces the
         scalar slot-max/period arithmetic exactly.
@@ -984,7 +985,9 @@ class MultiRoundGrouper:
         )
 
     def _result(self, groups: List[JobGroup], rounds: int) -> GroupingResult:
-        total_eff = sum(g.believed_efficiency for g in groups if g.size > 1)
+        total_eff = ordered_sum(
+            g.believed_efficiency for g in groups if g.size > 1
+        )
         demand = sum(g.num_gpus for g in groups)
         return GroupingResult(tuple(groups), total_eff, rounds, demand)
 

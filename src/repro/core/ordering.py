@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.jobs.resources import NUM_RESOURCES
 from repro.jobs.stage import StageProfile
+from repro.numeric import ordered_sum
 
 __all__ = [
     "group_iteration_time",
@@ -42,11 +42,9 @@ __all__ = [
 ]
 
 Offsets = Tuple[int, ...]
-
-#: Most groups :func:`batched_best_periods` scores in one numpy pass.
-#: Rows never interact, so chunking leaves every period bit-identical
-#: while capping the pass's scratch arrays (~1 MB for 512 quads).
-_BATCH_CHUNK = 512
+#: One profile's k rotations: ``table[o][s]`` is its stage in slot ``s``
+#: under offset ``o``.
+_Table = Tuple[Tuple[float, ...], ...]
 
 
 def slot_durations(
@@ -77,7 +75,7 @@ def group_iteration_time(
     num_resources: int = NUM_RESOURCES,
 ) -> float:
     """Interleaved iteration period T of a group (generalized Eq. 3)."""
-    return sum(slot_durations(profiles, offsets, num_resources))
+    return ordered_sum(slot_durations(profiles, offsets, num_resources))
 
 
 def enumerate_offset_assignments(
@@ -105,26 +103,52 @@ def enumerate_offset_assignments(
 @lru_cache(maxsize=None)
 def _assignment_table(
     num_jobs: int, num_resources: int
-) -> Tuple[Tuple[Offsets, ...], np.ndarray]:
-    """All offset assignments, as tuples and as an index array."""
-    assignments = tuple(
-        enumerate_offset_assignments(num_jobs, num_resources)
-    )
-    array = np.array(assignments, dtype=np.intp)
-    array.setflags(write=False)
-    return assignments, array
+) -> Tuple[Offsets, ...]:
+    """All offset assignments for ``num_jobs`` jobs, in enumeration order."""
+    return tuple(enumerate_offset_assignments(num_jobs, num_resources))
 
 
 @lru_cache(maxsize=65536)
-def _rolled_rows(durations: Tuple[float, ...], num_resources: int) -> np.ndarray:
-    """Table ``R[o][s] = durations[(o + s) % k]`` for one profile."""
-    k = num_resources
-    table = np.array(
-        [[durations[(o + s) % k] for s in range(k)] for o in range(k)],
-        dtype=float,
-    )
-    table.setflags(write=False)
-    return table
+def _rolled_rows(durations: Tuple[float, ...], num_resources: int) -> _Table:
+    """Rotations ``R[o][s] = durations[(o + s) % k]`` of one profile."""
+    row = tuple(float(durations[r]) for r in range(num_resources))
+    return tuple(row[o:] + row[:o] for o in range(num_resources))
+
+
+def _period(tables: Sequence[_Table], offsets: Offsets) -> float:
+    """Slot maxima under ``offsets``, added strictly left to right."""
+    if len(tables) == 1:
+        slots = iter(tables[0][offsets[0]])
+    else:
+        slots = map(max, *map(getitem, tables, offsets))
+    period = next(slots)
+    for slot in slots:
+        period = period + slot
+    return period
+
+
+def _best(
+    tables: Sequence[_Table], assignments: Tuple[Offsets, ...]
+) -> Tuple[Offsets, float]:
+    """The first assignment with the smallest period, and that period.
+
+    Slot maxima are >= 0, so a partial sum already >= the best period
+    cannot beat it; skipping the rest of its slots is exact.  A lone
+    job has one assignment, so the loop below always sees >= 2 rows.
+    """
+    best_offsets = assignments[0]
+    best = _period(tables, best_offsets)
+    for offsets in assignments[1:]:
+        slots = map(max, *map(getitem, tables, offsets))
+        period = next(slots)
+        for slot in slots:
+            if period >= best:
+                break
+            period = period + slot
+        else:
+            if period < best:
+                best_offsets, best = offsets, period
+    return best_offsets, best
 
 
 def extreme_period_for_rows(
@@ -134,24 +158,20 @@ def extreme_period_for_rows(
 ) -> Tuple[Offsets, float]:
     """Best (or worst) iteration period for raw duration tuples.
 
-    The vectorized core of :func:`best_ordering`: all ``(k-1)!`` offset
-    assignments are evaluated in one batch from cached per-profile
-    slot-max tables.  Slot maxima and the left-to-right slot sum are
-    computed exactly as the scalar enumeration would, so the returned
-    period is bit-identical to the generator-based implementation this
-    replaces.
+    The core of :func:`best_ordering`: each offset assignment (at most
+    ``(k-1)!``) is scored from cached per-profile rotations.  Ties keep
+    the first assignment in enumeration order.  Only the first ``k``
+    entries of a row are read.
     """
     k = num_resources
-    assignments, index = _assignment_table(len(rows), k)
-    tables = np.stack([_rolled_rows(tuple(row), k) for row in rows])
-    # slots[p, i, s]: job i's stage duration in slot s under assignment p.
-    slots = tables[np.arange(len(rows)), index]
-    slot_max = slots.max(axis=1)
-    periods = slot_max[:, 0]
-    for s in range(1, k):
-        periods = periods + slot_max[:, s]
-    best = int(periods.argmax() if pick_worst else periods.argmin())
-    return assignments[best], float(periods[best])
+    assignments = _assignment_table(len(rows), k)
+    tables = [_rolled_rows(tuple(row), k) for row in rows]
+    if pick_worst:
+        return max(
+            ((offsets, _period(tables, offsets)) for offsets in assignments),
+            key=itemgetter(1),
+        )
+    return _best(tables, assignments)
 
 
 def best_period_for_rows(
@@ -166,16 +186,11 @@ def batched_best_periods(
     groups: Sequence[Sequence[Tuple[float, ...]]],
     num_resources: int = NUM_RESOURCES,
 ) -> List[float]:
-    """Minimal iteration periods for many row-groups in one numpy batch.
+    """Minimal iteration periods for many row-groups of one size.
 
-    The grouping stage evaluates thousands of candidate pair weights
-    per matching round; calling :func:`best_period_for_rows` once per
-    candidate leaves most of the time in per-call numpy dispatch.  This
-    kernel stacks the groups' cached slot-max tables into a
-    ``(groups, jobs, k, k)`` array and evaluates all offset
-    assignments for all of them in one vectorized pass — at most
-    ``_BATCH_CHUNK`` groups per pass, so scratch memory stays bounded
-    however many candidates a round scores.
+    The grouping stage scores thousands of candidate pair weights per
+    matching round through this one call, so the assignment table is
+    looked up once per batch.
 
     Args:
         groups: Candidate groups of raw duration tuples; every group
@@ -185,47 +200,19 @@ def batched_best_periods(
 
     Returns:
         One minimal period per group, bit-identical to
-        ``best_period_for_rows(rows)[1]`` for each group: the slot
-        maxima, left-to-right slot sums, and first-minimum assignment
-        choice all reproduce the scalar kernel exactly.
+        ``best_period_for_rows(rows)[1]`` for each group.
     """
     if not groups:
         return []
     m = len(groups[0])
-    index = _assignment_table(m, num_resources)[1]
+    assignments = _assignment_table(m, num_resources)
     periods: List[float] = []
-    for start in range(0, len(groups), _BATCH_CHUNK):
-        periods.extend(_chunk_best_periods(
-            groups[start:start + _BATCH_CHUNK], m, index, num_resources
-        ))
-    return periods
-
-
-def _chunk_best_periods(
-    groups: Sequence[Sequence[Tuple[float, ...]]],
-    m: int,
-    index: np.ndarray,
-    k: int,
-) -> List[float]:
-    """One numpy pass of :func:`batched_best_periods` over ``groups``."""
-    tables = [None] * (len(groups) * m)
-    pos = 0
     for rows in groups:
         if len(rows) != m:
             raise ValueError("all groups in a batch must share one size")
-        for row in rows:
-            tables[pos] = _rolled_rows(tuple(row), k)
-            pos += 1
-    stacked = np.stack(tables).reshape(len(groups), m, k, k)
-    # slots[g, p, i, s]: group g, assignment p, job i's duration in
-    # slot s — the batched analogue of extreme_period_for_rows.
-    slots = stacked[:, np.arange(m)[None, :], index, :]
-    slot_max = slots.max(axis=2)
-    periods = slot_max[:, :, 0]
-    for s in range(1, k):
-        periods = periods + slot_max[:, :, s]
-    best = periods.argmin(axis=1)
-    return [float(periods[g, p]) for g, p in enumerate(best)]
+        tables = [_rolled_rows(tuple(row), num_resources) for row in rows]
+        periods.append(_best(tables, assignments)[1])
+    return periods
 
 
 def _extreme_ordering(

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.numeric import ordered_sum
+
 __all__ = ["MemoryFootprint", "group_peak_memory", "V100_MEMORY_GB"]
 
 #: Memory of the paper's NVIDIA Tesla V100 GPUs.
@@ -82,10 +84,10 @@ def group_peak_memory(
     if not 0 <= residual <= 1:
         raise ValueError("residual must be in [0, 1]")
 
-    weights = sum(f.weights_gb for f in footprints)
+    weights = ordered_sum(f.weights_gb for f in footprints)
     if not coordinated:
-        return weights + sum(f.activations_gb for f in footprints)
+        return weights + ordered_sum(f.activations_gb for f in footprints)
     activations = sorted((f.activations_gb for f in footprints), reverse=True)
     largest = activations[0]
-    others = sum(activations[1:])
+    others = ordered_sum(activations[1:])
     return weights + largest + residual * others

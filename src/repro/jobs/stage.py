@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.jobs.resources import NUM_RESOURCES, RESOURCE_ORDER, Resource
+from repro.numeric import ordered_sum
 
 __all__ = ["Stage", "StageProfile"]
 
@@ -60,7 +61,9 @@ class StageProfile:
         # Profiles are immutable, so the totals the efficiency model
         # reads on every edge-weight evaluation are computed once here
         # instead of being re-summed per call.
-        object.__setattr__(self, "_iteration_time", sum(self.durations))
+        object.__setattr__(
+            self, "_iteration_time", ordered_sum(self.durations)
+        )
 
     @property
     def num_resources(self) -> int:
@@ -98,7 +101,7 @@ class StageProfile:
         """
         if iteration_time <= 0:
             raise ValueError("iteration_time must be > 0")
-        total = sum(fractions.values())
+        total = ordered_sum(fractions.values())
         if total <= 0:
             raise ValueError("fractions must have a positive sum")
         return cls.from_mapping(

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.numeric import ordered_sum
 from repro.observe.events import EventCategory
 from repro.observe.tracer import Tracer
 
@@ -98,7 +99,7 @@ def node_signature(
     what lets the candidate search treat buckets as units.
     """
     bottleneck = max(range(len(durations)), key=lambda i: durations[i])
-    total = sum(durations)
+    total = ordered_sum(durations)
     if total <= 0:
         return bottleneck, 0
     return bottleneck, int(math.floor(math.log(total, duration_bin_base)))

@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.jobs.memory import MemoryFootprint
 from repro.jobs.resources import RESOURCE_ORDER, Resource
 from repro.jobs.stage import StageProfile
+from repro.numeric import ordered_sum
 
 __all__ = [
     "ModelProfile",
@@ -126,7 +127,7 @@ class ModelProfile:
 
     def normalized_percentages(self) -> Dict[Resource, float]:
         """Stage percentages normalized to sum to one."""
-        total = sum(self.stage_percentages)
+        total = ordered_sum(self.stage_percentages)
         return {
             resource: pct / total
             for resource, pct in zip(RESOURCE_ORDER, self.stage_percentages)

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.efficiency import interleaving_efficiency
 from repro.jobs.job import JobSpec
 from repro.jobs.stage import StageProfile
+from repro.numeric import ordered_sum
 from repro.profiler.noise import NoNoise, NoiseModel
 
 __all__ = ["ResourceProfiler", "ProfilerStats"]
@@ -100,7 +101,8 @@ class ResourceProfiler:
         ]
         self.stats.dry_runs += self.num_dry_runs
         averaged = tuple(
-            sum(sample.durations[i] for sample in samples) / len(samples)
+            ordered_sum(sample.durations[i] for sample in samples)
+            / len(samples)
             for i in range(truth.num_resources)
         )
         return StageProfile(averaged)

@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from repro.core.group import JobGroup
 from repro.jobs.job import Job
 from repro.jobs.resources import NUM_RESOURCES
+from repro.numeric import ordered_sum
 from repro.schedulers.base import Scheduler, group_key
 
 __all__ = ["TetrisScheduler", "peak_demand_vector"]
@@ -86,7 +87,7 @@ class TetrisScheduler(Scheduler):
     @staticmethod
     def _alignment(demand: Sequence[float], free: Sequence[float]) -> float:
         """Tetris's packing score: dot(demand, remaining capacity)."""
-        return sum(d * f for d, f in zip(demand, free))
+        return ordered_sum(d * f for d, f in zip(demand, free))
 
     # -- scheduling -----------------------------------------------------
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.jobs.resources import NUM_RESOURCES, RESOURCE_ORDER, Resource
+from repro.numeric import ordered_sum
 
 __all__ = ["TimePoint", "MetricsSummary", "SimulationResult", "percentile"]
 
@@ -148,7 +149,7 @@ class SimulationResult:
         """Mean job completion time."""
         if not self.jcts:
             raise ValueError("no completed jobs")
-        return sum(self.jcts.values()) / len(self.jcts)
+        return ordered_sum(self.jcts.values()) / len(self.jcts)
 
     def tail_jct(self, q: float = 99.0) -> float:
         """The q-th percentile JCT (the paper reports the 99th)."""
@@ -187,12 +188,12 @@ class SimulationResult:
     # -- time-weighted series averages ----------------------------------------
 
     def _weighted_average(self, extractor) -> float:
-        total_span = sum(p.span for p in self.timeseries)
+        total_span = ordered_sum(p.span for p in self.timeseries)
         if total_span <= 0:
             return 0.0
-        return (
-            sum(extractor(p) * p.span for p in self.timeseries) / total_span
-        )
+        return ordered_sum(
+            extractor(p) * p.span for p in self.timeseries
+        ) / total_span
 
     @property
     def avg_queue_length(self) -> float:

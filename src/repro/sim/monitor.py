@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.jobs.resources import NUM_RESOURCES
+from repro.numeric import ordered_sum
 from repro.observe.events import EventCategory
 from repro.observe.tracer import Tracer
 
@@ -138,11 +139,11 @@ class WorkerMonitor:
     def machine_utilization(self, machine_id: int) -> Tuple[float, ...]:
         """Time-weighted mean busy fraction per resource on a machine."""
         samples = self._machine_samples.get(machine_id, [])
-        total = sum(s.span for s in samples)
+        total = ordered_sum(s.span for s in samples)
         if total <= 0:
             return (0.0,) * NUM_RESOURCES
         return tuple(
-            sum(s.utilization[r] * s.span for s in samples) / total
+            ordered_sum(s.utilization[r] * s.span for s in samples) / total
             for r in range(NUM_RESOURCES)
         )
 

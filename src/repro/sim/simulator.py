@@ -32,6 +32,7 @@ from repro.core.group import JobGroup
 from repro.core.ordering import group_iteration_time
 from repro.jobs.job import Job, JobSpec, JobStatus
 from repro.jobs.resources import NUM_RESOURCES
+from repro.numeric import ordered_sum
 from repro.observe.events import EventCategory
 from repro.observe.provenance import OutcomeRecord
 from repro.observe.tracer import Tracer, maybe_span
@@ -111,7 +112,9 @@ class _RunningGroup:
 
     def busy_time(self, resource: int) -> float:
         """Seconds per period the active members keep ``resource`` busy."""
-        return sum(job.profile.durations[resource] for job in self.active)
+        return ordered_sum(
+            job.profile.durations[resource] for job in self.active
+        )
 
     def time_to_next_event(
         self, contention: ContentionModel, uncoordinated_penalty: float
@@ -1160,7 +1163,7 @@ class ClusterSimulator:
                 remaining = job.remaining_service_time
                 if remaining > 0:
                     ratios.append(job.pending_time(now) / remaining)
-            blocking = sum(ratios) / len(ratios) if ratios else 0.0
+            blocking = ordered_sum(ratios) / len(ratios) if ratios else 0.0
 
         result.timeseries.append(
             TimePoint(

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.numeric import ordered_sum
 from repro.trace.arrivals import (
     bursty_arrivals,
     diurnal_arrivals,
@@ -182,7 +183,7 @@ class PhillyTraceGenerator:
         # regardless of trace size or arrival-process quirks.
         if preset.target_load is not None and n > 1:
             span = max(submit_times) or 1.0
-            work = sum(d * g for d, g in zip(durations, gpus))
+            work = ordered_sum(d * g for d, g in zip(durations, gpus))
             current_load = work / (span * preset.reference_gpus)
             scale = current_load / preset.target_load
             submit_times = [t * scale for t in submit_times]

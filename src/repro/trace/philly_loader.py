@@ -39,6 +39,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.numeric import ordered_sum
 from repro.trace.records import Trace, TraceRecord
 
 __all__ = ["load_philly_json", "parse_philly_time", "round_up_power_of_two"]
@@ -134,7 +135,7 @@ def load_philly_json(
         submitted = parse_philly_time(entry.get("submitted_time", ""))
         if submitted is None:
             continue
-        duration = sum(
+        duration = ordered_sum(
             _attempt_duration(a) for a in entry.get("attempts", [])
         )
         if duration < min_duration:

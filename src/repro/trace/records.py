@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
+from repro.numeric import ordered_sum
+
 __all__ = ["TraceRecord", "Trace"]
 
 
@@ -82,7 +84,7 @@ class Trace:
     @property
     def total_gpu_seconds(self) -> float:
         """Aggregate demand: sum of duration x GPUs over all jobs."""
-        return sum(r.duration * r.num_gpus for r in self.records)
+        return ordered_sum(r.duration * r.num_gpus for r in self.records)
 
     @property
     def makespan_lower_bound(self) -> float:

@@ -57,6 +57,7 @@ from repro.matching.blossom import matching_pairs
 from repro.matching.exact import brute_force_matching, exact_hypergraph_matching
 from repro.core.efficiency import efficiency_for_period
 from repro.core.ordering import best_ordering
+from repro.numeric import ordered_sum
 from repro.schedulers.base import Scheduler
 from repro.sim.metrics import SimulationResult
 from repro.verify.invariants import InvariantViolation, check_group_wellformed
@@ -439,7 +440,7 @@ def compare_pairs_exact(
         key = (min(u, v), max(u, v))
         if key not in weight_of or w > weight_of[key]:
             weight_of[key] = w
-    blossom_weight = sum(
+    blossom_weight = ordered_sum(
         weight_of[(min(u, v), max(u, v))] for u, v in matching_pairs(edges)
     )
     _pairs, exact_weight = brute_force_matching(edges)
@@ -484,7 +485,7 @@ def compare_groups_exact(
         num_resources=num_resources,
         **grouper_kwargs,
     ).group(jobs)
-    heuristic_total = sum(
+    heuristic_total = ordered_sum(
         group.believed_efficiency
         for group in heuristic.groups
         if group.size == group_size

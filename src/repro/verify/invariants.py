@@ -5,7 +5,7 @@ a job interleaves with at most one group at a time, gamma stays in
 ``(0, 1]`` and agrees with Eq. 3's period under the chosen stage
 ordering, the queue is served in SRSF/2D-LAS priority order, faults
 never mint or destroy progress.  The optimized hot paths (sparse
-matching graphs, vectorized ordering kernels, decision caches) must
+matching graphs, cached ordering kernels, decision caches) must
 keep every one of those promises.  This module makes them executable:
 
 * :data:`INVARIANT_CATALOG` names each predicate;

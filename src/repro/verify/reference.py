@@ -2,8 +2,9 @@
 
 Every function here is a deliberately simple, scalar re-implementation
 of an equation from the paper, written straight from the text with no
-caching, vectorization, or shared code with the optimized paths in
-``repro.core``:
+caching and no code shared with the optimized paths in ``repro.core``
+other than :func:`repro.numeric.ordered_sum`, the left-to-right float
+sum:
 
 * :func:`reference_slot_durations` / :func:`reference_period` — Eq. 3
   generalized to an arbitrary offset assignment (the barrier model of
@@ -15,15 +16,17 @@ caching, vectorization, or shared code with the optimized paths in
   section 4.2 (first offset pinned to zero, offsets distinct).
 
 The invariant checker and the differential oracles compare the
-optimized implementations (``repro.core.ordering``'s cached numpy
-kernels, the grouper's weight caches) against these functions; any
-divergence is a bug in the optimization, not in the spec.
+optimized implementations (``repro.core.ordering``'s cached kernels,
+the grouper's weight caches) against these functions; any divergence
+is a bug in the optimization, not in the spec.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 from typing import List, Sequence, Tuple
+
+from repro.numeric import ordered_sum
 
 __all__ = [
     "reference_slot_durations",
@@ -82,7 +85,7 @@ def reference_period(
     num_resources: int,
 ) -> float:
     """Eq. 3: the interleaved iteration period ``T`` under ``offsets``."""
-    return sum(reference_slot_durations(rows, offsets, num_resources))
+    return ordered_sum(reference_slot_durations(rows, offsets, num_resources))
 
 
 def reference_efficiency(
@@ -117,7 +120,7 @@ def reference_best_period(
     offsets to the remaining jobs, exactly like
     :func:`repro.core.ordering.enumerate_offset_assignments` — but
     evaluating each candidate with :func:`reference_period` instead of
-    the vectorized batch kernel.
+    the cached ordering kernel.
 
     Returns:
         ``(best_offsets, best_period)``; ties keep the first

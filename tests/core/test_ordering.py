@@ -1,15 +1,16 @@
 """Tests for stage ordering and the group iteration period (Eq. 3)."""
 
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ordering import (
-    _BATCH_CHUNK,
     batched_best_periods,
     best_ordering,
     best_period_for_rows,
@@ -21,6 +22,12 @@ from repro.core.ordering import (
     worst_ordering,
 )
 from repro.jobs.stage import StageProfile
+from repro.verify.reference import reference_best_period, reference_period
+
+#: Offsets and ``float.hex`` periods the numpy kernel this module once
+#: used produced on 500 seeded groups (ties, zero stages, rows wider
+#: than k, k in 2..5), so bit-identity with it stays pinned.
+GOLDEN = Path(__file__).parent / "data" / "ordering_golden.json"
 
 # Fig. 6 profiles: A spends 2 units on CPU (resource 1), 1 elsewhere;
 # B spends 2 units on GPU (resource 2), 1 elsewhere.
@@ -170,33 +177,57 @@ def test_period_at_least_busy_time_per_resource(profiles):
         assert period >= busy - 1e-9
 
 
-def _scalar_extreme(profiles, pick_worst=False):
-    """Reference implementation: the generator-based enumeration the
-    vectorized kernel replaced."""
-    extreme = None
-    for offsets in enumerate_offset_assignments(len(profiles), 4):
-        period = group_iteration_time(profiles, offsets, 4)
-        better = (
-            extreme is None
-            or (period > extreme[1] if pick_worst else period < extreme[1])
-        )
-        if better:
-            extreme = (offsets, period)
-    return extreme
+def _reference_worst(rows):
+    """Brute-force worst ordering: the first maximum of the reference
+    period over every offset assignment."""
+    periods = [
+        (offsets, reference_period(rows, offsets, 4))
+        for offsets in enumerate_offset_assignments(len(rows), 4)
+    ]
+    return max(periods, key=lambda item: item[1])
 
 
-@settings(max_examples=150, deadline=None)
-@given(profile_groups())
-def test_vectorized_kernel_matches_scalar_enumeration(profiles):
-    """The batch kernel is bit-identical to the scalar scan: same
-    offsets (first-improvement tie-breaking) and exactly equal period,
-    for both best and worst."""
-    rows = tuple(p.durations for p in profiles)
-    for pick_worst in (False, True):
-        offsets, period = extreme_period_for_rows(rows, 4, pick_worst)
-        ref_offsets, ref_period = _scalar_extreme(profiles, pick_worst)
-        assert offsets == ref_offsets
-        assert period == ref_period
+#: Groups of 1-4 duration rows with ties and zero stages; every row
+#: uses some resource, so each is also a valid :class:`StageProfile`.
+_duration = st.one_of(st.floats(0.0, 10.0), st.sampled_from((0.0, 0.5, 1.0)))
+kernel_groups = st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.tuples(*[_duration] * 4).filter(any), min_size=m, max_size=m,
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_groups)
+def test_kernel_matches_reference_search(rows):
+    """Every kernel entry point is bit-identical to the independent
+    scalar reference: same offsets (the first extreme wins ties) and
+    exactly equal period, best and worst, at every group size 1-4."""
+    rows = tuple(rows)
+    profiles = [StageProfile(row) for row in rows]
+    best = reference_best_period(rows, 4)
+    assert best_period_for_rows(rows) == best
+    assert best_ordering(profiles) == best
+    assert batched_best_periods([rows]) == [best[1]]
+    worst = _reference_worst(rows)
+    assert extreme_period_for_rows(rows, 4, pick_worst=True) == worst
+    assert worst_ordering(profiles) == worst
+
+
+def test_kernel_reproduces_the_numpy_kernel_bit_for_bit():
+    cases = json.loads(GOLDEN.read_text())
+    assert len(cases) == 500
+    batches = {}
+    for case in cases:
+        rows = tuple(tuple(row) for row in case["rows"])
+        k = case["k"]
+        for key, pick_worst in (("best", False), ("worst", True)):
+            offsets, period = extreme_period_for_rows(rows, k, pick_worst)
+            assert [list(offsets), period.hex()] == case[key], case
+        batches.setdefault((k, len(rows)), []).append((rows, case))
+    for (k, _m), batch in batches.items():
+        periods = batched_best_periods([rows for rows, _case in batch], k)
+        assert [p.hex() for p in periods] == [
+            case["batched"] for _rows, case in batch
+        ]
 
 
 def test_best_period_for_rows_matches_best_ordering():
@@ -226,36 +257,37 @@ duration_rows = st.lists(
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
-@pytest.mark.parametrize("length", (
-    1, _BATCH_CHUNK - 1, _BATCH_CHUNK, _BATCH_CHUNK + 1, 2 * _BATCH_CHUNK + 3,
-))
+@pytest.mark.parametrize("length", (1, 511, 512, 513, 1027))
 @settings(max_examples=5, deadline=None)
 @given(pool=duration_rows, seed=st.integers(0, 2**32 - 1))
 def test_batched_kernel_matches_per_group_kernel(m, length, pool, seed):
-    """Every chunk boundary gives bit-identical periods in order."""
+    """Batches of any length (including the 512-group chunk boundaries
+    an earlier numpy kernel had) give bit-identical periods in order,
+    equal to the per-group kernel and to the scalar reference."""
     rng = random.Random(seed)
     groups = [
         tuple(rng.choice(pool) for _ in range(m)) for _ in range(length)
     ]
-    assert batched_best_periods(groups) == [
-        best_period_for_rows(rows)[1] for rows in groups
-    ]
+    periods = batched_best_periods(groups)
+    assert periods == [best_period_for_rows(rows)[1] for rows in groups]
+    assert periods == [reference_best_period(rows, 4)[1] for rows in groups]
 
 
 def test_batched_kernel_rejects_mixed_sizes_past_the_first_chunk():
+    """A group of the wrong size at index 513 still raises."""
     rows = (1.0, 2.0, 1.0, 1.0)
-    groups = [(rows, rows)] * (_BATCH_CHUNK + 1) + [(rows, rows, rows)]
+    groups = [(rows, rows)] * 513 + [(rows, rows, rows)]
     with pytest.raises(ValueError):
         batched_best_periods(groups)
 
 
 def test_batched_kernel_scratch_memory_is_bounded():
-    """20,000 quads peak under 4 MB of Python-traced allocations; one
-    unchunked pass over them peaks at ~30 MB."""
+    """20,000 quads peak under 4 MB of Python-traced allocations: a
+    batch keeps O(1) scratch per group besides its output list."""
     rng = random.Random(0)
     pool = [tuple(rng.uniform(0.01, 1.0) for _ in range(4)) for _ in range(64)]
     groups = [tuple(rng.sample(pool, 4)) for _ in range(20_000)]
-    batched_best_periods(groups[:_BATCH_CHUNK])  # warm the row-table cache
+    batched_best_periods(groups[:512])  # warm the row-table cache
     tracemalloc.start()
     try:
         batched_best_periods(groups)

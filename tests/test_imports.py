@@ -3,8 +3,10 @@
 ``repro`` resolves its public names on first access (PEP 562), and the
 service and fleet modules import asyncio only once serving starts, so
 a library or replay run pays for neither the event loop nor the
-sweep, fleet and verification stacks.  Module-loading checks run in a
-fresh interpreter, where nothing is imported yet.
+sweep, fleet and verification stacks.  No run needs numpy: only the
+bootstrap statistics in ``repro.analysis.stats`` import it, inside the
+functions that use it.  Module-loading checks run in a fresh
+interpreter, where nothing is imported yet.
 """
 
 import importlib
@@ -30,6 +32,7 @@ NOT_LOADED = (
     "ssl",
     "concurrent.futures",
     "multiprocessing",
+    "numpy",
     "repro.fleet",
     "repro.sweep",
     "repro.verify",
@@ -44,17 +47,40 @@ def _env():
     )
 
 
+def _run_fresh(code, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True,
+        text=True, timeout=timeout, check=True,
+    ).stdout
+
+
 def test_library_imports_load_no_serving_or_sweep_stack():
-    code = (
+    out = _run_fresh(
         "import json, sys\n"
         "import repro, repro.replay, repro.service.server\n"
         f"print(json.dumps([m for m in {NOT_LOADED!r} if m in sys.modules]))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=_env(), capture_output=True,
-        text=True, timeout=60, check=True,
-    ).stdout
     assert json.loads(out) == []
+
+
+def test_cli_import_loads_no_numpy():
+    out = _run_fresh("import sys, repro.cli\nprint('numpy' in sys.modules)\n")
+    assert out.strip() == "False"
+
+
+def test_runs_finish_without_numpy():
+    """A Muri-S replay and an elastic-Muri heterogeneous run complete
+    in an interpreter where ``import numpy`` raises ImportError."""
+    out = _run_fresh(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "from tests.test_float_sums import elastic_hetero_run, muri_s_replay\n"
+        "print(len(muri_s_replay(jobs=200).jcts))\n"
+        "print(len(elastic_hetero_run(jobs=100).jcts))\n",
+        timeout=120,
+    )
+    assert out.split() == ["200", "100"]
 
 
 @pytest.mark.parametrize("name", [n for n in repro.__all__ if n != "__version__"])

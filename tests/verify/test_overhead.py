@@ -62,3 +62,25 @@ class TestArmedCheckerOverhead:
         assert checker.counters == {}
         # Grouping/outcome provenance IS collected (violations need it).
         assert len(checker.provenance) > 0
+
+    def test_armed_run_recomputes_no_group_period(self, monkeypatch):
+        """Arming the checker adds at most 10% Eq. 3 evaluations: a
+        group's believed period and efficiency are computed once, not
+        again for every provenance record that reads them."""
+        import repro.core.ordering as ordering
+
+        calls = []
+        slot_durations = ordering.slot_durations
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return slot_durations(*args, **kwargs)
+
+        monkeypatch.setattr(ordering, "slot_durations", counting)
+        specs = build_specs(200)
+        run_once(specs, None)
+        unarmed = len(calls)
+        calls.clear()
+        run_once(specs, InvariantChecker())
+        assert unarmed > 0
+        assert len(calls) <= 1.1 * unarmed
