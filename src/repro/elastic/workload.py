@@ -11,11 +11,10 @@ declaratively reproducible from a :class:`~repro.sweep.RunSpec`.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import List, Sequence
 
-from repro.jobs.job import JobSpec
+from repro.jobs.job import JobSpec, replace_spec
 from repro.jobs.scalability import ScalabilityProfile
 
 __all__ = ["attach_scalability", "amdahl_curve"]
@@ -103,7 +102,7 @@ def attach_scalability(
         if not elected:
             out.append(spec)
             continue
-        out.append(dataclasses.replace(
+        out.append(replace_spec(
             spec,
             scalability=amdahl_curve(spec, serial_fraction, max_gpus),
         ))

@@ -20,14 +20,13 @@ on it.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import GpuType
 from repro.hetero.types import DEFAULT_TYPE_SCALING, TypeScaling, get_gpu_type
-from repro.jobs.job import JobSpec
-from repro.jobs.scalability import ScalabilityProfile
+from repro.jobs.job import JobSpec, replace_spec
+from repro.jobs.stage import StageProfile
 from repro.models.zoo import ModelProfile
 from repro.trace.records import Trace
 from repro.trace.workload import build_jobs
@@ -95,18 +94,6 @@ def make_hetero_cluster(
     )
 
 
-def _scaled_scalability(
-    scalability: Optional[ScalabilityProfile], factor: float
-) -> Optional[ScalabilityProfile]:
-    """Scale every point of a goodput curve by one speed factor."""
-    if scalability is None:
-        return None
-    return ScalabilityProfile(tuple(
-        (gpus, profile.scaled(1.0 / factor))
-        for gpus, profile in scalability.points
-    ))
-
-
 def pin_jobs(
     specs: Sequence[JobSpec],
     type_names: Sequence[str],
@@ -143,20 +130,31 @@ def pin_jobs(
         get_gpu_type(name)
     table = scaling if scaling is not None else DEFAULT_TYPE_SCALING
     rng = random.Random(seed + _TYPE_SEED_OFFSET)
+    # Jobs share few distinct (profile, factor) pairs; StageProfile is
+    # frozen and compared by value, so they can share one scaled copy.
+    profiles: Dict[Tuple[Tuple[float, ...], float], StageProfile] = {}
     pinned: List[JobSpec] = []
     for spec in specs:
         type_name = type_names[rng.randrange(len(type_names))]
         soft = prefer_fraction > 0.0 and rng.random() < prefer_fraction
         if soft:
-            pinned.append(replace(
+            pinned.append(replace_spec(
                 spec, gpu_affinity=type_name, affinity_mode="prefer",
             ))
             continue
         factor = table.factor(spec.model, type_name)
-        pinned.append(replace(
+        key = (spec.profile.durations, factor)
+        profile = profiles.get(key)
+        if profile is None:
+            profile = profiles[key] = spec.profile.scaled(1.0 / factor)
+        scalability = spec.scalability
+        pinned.append(replace_spec(
             spec,
-            profile=spec.profile.scaled(1.0 / factor),
-            scalability=_scaled_scalability(spec.scalability, factor),
+            profile=profile,
+            scalability=(
+                None if scalability is None
+                else scalability.scaled(1.0 / factor)
+            ),
             gpu_affinity=type_name,
             affinity_mode="pin",
         ))

@@ -65,6 +65,7 @@ class ModelParallelJob:
 
     @property
     def num_stages(self) -> int:
+        """Number of pipeline stages: one worker per stage."""
         return len(self.workers)
 
     @property

@@ -9,6 +9,7 @@ flows from the profiler into the interleaving-efficiency model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.jobs.resources import NUM_RESOURCES, RESOURCE_ORDER, Resource
@@ -53,17 +54,21 @@ class StageProfile:
     def __post_init__(self) -> None:
         if not self.durations:
             raise ValueError("a stage profile needs at least one resource")
+        # One pass validates and sums.  Profiles are immutable, so the
+        # total the efficiency model reads on every edge-weight
+        # evaluation is computed once here.  The sum is
+        # :func:`~repro.numeric.ordered_sum`'s: left to right from int 0.
+        total = 0
         for d in self.durations:
-            if d < 0:
-                raise ValueError(f"stage durations must be >= 0, got {d}")
-        if all(d == 0 for d in self.durations):
+            if not 0 <= d < inf:
+                raise ValueError(
+                    f"stage durations must be finite and >= 0, got {d}"
+                )
+            total = total + d
+        # Non-negative finite durations sum to zero only when all are.
+        if total == 0:
             raise ValueError("a stage profile must use at least one resource")
-        # Profiles are immutable, so the totals the efficiency model
-        # reads on every edge-weight evaluation are computed once here
-        # instead of being re-summed per call.
-        object.__setattr__(
-            self, "_iteration_time", ordered_sum(self.durations)
-        )
+        object.__setattr__(self, "_iteration_time", total)
 
     @property
     def num_resources(self) -> int:

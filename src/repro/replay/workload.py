@@ -63,24 +63,26 @@ def synthetic_trace(
     window = num_jobs / jobs_per_day * _SECONDS_PER_DAY
     rng = random.Random(seed)
     choices = list(gpu_choices)
-    records = [
-        TraceRecord(
-            job_id=index,
-            submit_time=round(rng.uniform(0.0, window), 1),
-            duration=round(rng.uniform(low, high), 1),
-            num_gpus=rng.choice(choices),
+    # Draw in job order, then sort by (submit time, draw index): the
+    # index is unique, so the sort never compares the later fields.
+    draws = [
+        (
+            round(rng.uniform(0.0, window), 1),
+            index,
+            round(rng.uniform(low, high), 1),
+            rng.choice(choices),
         )
         for index in range(num_jobs)
     ]
-    records.sort(key=lambda record: (record.submit_time, record.job_id))
+    draws.sort()
     records = [
         TraceRecord(
-            job_id=index,
-            submit_time=record.submit_time,
-            duration=record.duration,
-            num_gpus=record.num_gpus,
+            job_id=job_id,
+            submit_time=submit_time,
+            duration=duration,
+            num_gpus=num_gpus,
         )
-        for index, record in enumerate(records)
+        for job_id, (submit_time, _, duration, num_gpus) in enumerate(draws)
     ]
     return Trace(
         name=name or f"replay-{num_jobs}", records=tuple(records)

@@ -75,12 +75,13 @@ class LineServer:
 
         Version-1 dicts (no ``version`` field) and version-2 messages
         both decode through :func:`request_from_wire` and go to
-        :meth:`handle`; every protocol error, a mistyped field
+        :meth:`handle`; every protocol error, a mistyped field or an
+        integer field sent as a non-finite or out-of-range float
         included, becomes an ``error_response`` dict.
         """
         try:
             message = request_from_wire(request)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             return error_response("bad_request", str(error))
         except KeyError as error:
             return error_response("bad_request", f"missing field {error}")

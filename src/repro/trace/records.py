@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -42,10 +43,14 @@ class TraceRecord:
     model: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.submit_time < 0:
-            raise ValueError("submit_time must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 <= self.submit_time < inf:
+            raise ValueError(
+                f"submit_time must be finite and >= 0, got {self.submit_time}"
+            )
+        if not 0 < self.duration < inf:
+            raise ValueError(
+                f"duration must be finite and > 0, got {self.duration}"
+            )
         if self.num_gpus < 1:
             raise ValueError("num_gpus must be >= 1")
 

@@ -1,9 +1,13 @@
 """Tests for JobSpec and runtime Job state."""
 
+import dataclasses
+
 import pytest
 
-from repro.jobs.job import Job, JobSpec, JobStatus
+from repro.jobs.job import Job, JobSpec, JobStatus, replace_spec
+from repro.jobs.memory import MemoryFootprint
 from repro.jobs.resources import Resource
+from repro.jobs.scalability import ScalabilityProfile
 from repro.jobs.stage import StageProfile
 
 PROFILE = StageProfile((0.2, 0.2, 0.4, 0.2))  # 1 second per iteration
@@ -37,6 +41,11 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             make_spec(submit_time=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_submit_time_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_spec(submit_time=bad)
+
     def test_iteration_time(self):
         assert make_spec().iteration_time == pytest.approx(1.0)
 
@@ -53,6 +62,50 @@ class TestJobSpec:
         spec = make_spec()
         with pytest.raises(AttributeError):
             spec.num_gpus = 4
+
+
+class TestReplaceSpec:
+    def full_spec(self):
+        curve = ScalabilityProfile.from_speedups(
+            2, PROFILE, {1: 0.6, 4: 1.7}
+        )
+        return make_spec(
+            model="resnet50", name="probe", job_id=41,
+            memory=MemoryFootprint(2.0, 3.0), scalability=curve,
+            gpu_affinity="a100", affinity_mode="prefer",
+        )
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"gpu_affinity": None, "affinity_mode": "pin"},
+        {"scalability": None, "num_gpus": 4, "submit_time": 0.0},
+        {"name": None, "job_id": 7},
+    ])
+    def test_equals_dataclasses_replace(self, changes):
+        spec = self.full_spec()
+        fast = replace_spec(spec, **changes)
+        slow = dataclasses.replace(spec, **changes)
+        assert fast == slow
+        assert vars(fast) == vars(slow)
+
+    def test_scaled_profile_and_curve(self):
+        spec = self.full_spec()
+        changes = dict(
+            profile=PROFILE.scaled(0.5),
+            scalability=spec.scalability.scaled(0.5),
+        )
+        assert replace_spec(spec, **changes) == dataclasses.replace(
+            spec, **changes
+        )
+
+    def test_validates_like_replace(self):
+        spec = self.full_spec()
+        with pytest.raises(TypeError):
+            replace_spec(spec, no_such_field=1)
+        with pytest.raises(ValueError):
+            replace_spec(spec, num_gpus=3)
+        with pytest.raises(ValueError):
+            replace_spec(spec, submit_time=float("nan"))
 
 
 class TestJobLifecycle:

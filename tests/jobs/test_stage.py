@@ -65,6 +65,15 @@ class TestStageProfileConstruction:
         with pytest.raises(ValueError):
             StageProfile(())
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            StageProfile((1.0, bad, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            StageProfile((bad,))
+
     def test_short_profiles_allowed(self):
         # Two-resource examples (paper Fig. 4) are valid.
         profile = StageProfile((2.0, 1.0))

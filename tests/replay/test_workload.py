@@ -1,8 +1,34 @@
 """The constant-load synthetic trace behind the replay benchmarks."""
 
+import random
+
 import pytest
 
 from repro.replay.workload import synthetic_trace
+from repro.trace.records import Trace, TraceRecord
+
+
+def two_pass_trace(num_jobs, seed):
+    """The trace built the straightforward way: draw records, sort
+    them, then renumber them into a second set of records."""
+    window = num_jobs / 5_000.0 * 86_400.0
+    rng = random.Random(seed)
+    choices = [1, 1, 1, 2, 2, 4, 8]
+    records = [
+        TraceRecord(
+            job_id=index,
+            submit_time=round(rng.uniform(0.0, window), 1),
+            duration=round(rng.uniform(60.0, 600.0), 1),
+            num_gpus=rng.choice(choices),
+        )
+        for index in range(num_jobs)
+    ]
+    records.sort(key=lambda record: (record.submit_time, record.job_id))
+    return Trace(name=f"replay-{num_jobs}", records=tuple(
+        TraceRecord(index, record.submit_time, record.duration,
+                    record.num_gpus)
+        for index, record in enumerate(records)
+    ))
 
 
 class TestSyntheticTrace:
@@ -12,6 +38,14 @@ class TestSyntheticTrace:
         c = synthetic_trace(200, seed=5)
         assert a.records == b.records
         assert a.records != c.records
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_two_pass_reference(self, seed):
+        # 2,000 jobs in a 0.4-day window collide on submit times, so
+        # the tie-break by draw order is exercised.
+        assert synthetic_trace(2_000, seed=seed) == two_pass_trace(
+            2_000, seed
+        )
 
     def test_records_sorted_and_renumbered(self):
         trace = synthetic_trace(300, seed=1)

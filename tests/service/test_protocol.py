@@ -203,6 +203,29 @@ HOSTILE_MESSAGES = {
 }
 
 
+#: Submits whose numbers are non-finite or too large for an int field:
+#: the spec must be refused before it reaches the scheduler.
+NAN = float("nan")
+INF = float("inf")
+HOSTILE_SUBMITS = {
+    "nan-duration": {"durations": [NAN, 0.1, 0.1, 0.1]},
+    "inf-duration": {"durations": [INF, 0.1, 0.1, 0.1]},
+    "nan-submit-time": {"durations": [0.1] * 4, "submit_time": NAN},
+    "inf-submit-time": {"durations": [0.1] * 4, "submit_time": INF},
+    "inf-iterations": {"durations": [0.1] * 4, "num_iterations": INF},
+    "huge-iterations": {"durations": [0.1] * 4, "num_iterations": 1e400},
+    "inf-gpus": {"durations": [0.1] * 4, "num_gpus": INF},
+    "huge-gpus": {"durations": [0.1] * 4, "num_gpus": 1e400},
+}
+
+
+def served_daemons(server):
+    """The scheduler services behind a service or fleet server."""
+    if hasattr(server, "frontend"):
+        return [shard.service for shard in server.frontend.shards.values()]
+    return [server.service]
+
+
 class TestDispatch:
     @pytest.mark.parametrize("build", [make_server, make_fleet_server],
                              ids=["service", "fleet"])
@@ -211,6 +234,31 @@ class TestDispatch:
         response = build().dispatch(HOSTILE_MESSAGES[name])
         assert response["ok"] is False
         assert response["error"] == "bad_request"
+
+    @pytest.mark.parametrize("build", [make_server, make_fleet_server],
+                             ids=["service", "fleet"])
+    @pytest.mark.parametrize("name", HOSTILE_SUBMITS)
+    def test_non_finite_submits_are_bad_requests(self, build, name):
+        server = build()
+        for version in (1, 2):
+            response = server.dispatch({
+                "op": "submit", "spec": HOSTILE_SUBMITS[name],
+                "version": version,
+            })
+            assert response["ok"] is False
+            assert response["error"] == "bad_request"
+        # A valid job still runs, and every daemon drains.
+        accepted = server.dispatch(
+            {"op": "submit", "spec": spec_to_dict(make_spec(num_gpus=1))}
+        )
+        assert accepted["ok"] is True
+        for daemon in served_daemons(server):
+            daemon.drain()
+            for _ in range(10_000):
+                if daemon.is_done:
+                    break
+                daemon.step()
+            assert daemon.is_done
 
     def test_unknown_op(self):
         response = make_server().dispatch({"op": "reboot"})

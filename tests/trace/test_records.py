@@ -25,6 +25,13 @@ class TestTraceRecord:
         with pytest.raises(ValueError):
             TraceRecord(0, 0.0, 10.0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TraceRecord(0, bad, 10.0, 1)
+        with pytest.raises(ValueError):
+            TraceRecord(0, 0.0, bad, 1)
+
     def test_model_optional(self):
         assert TraceRecord(0, 0.0, 1.0, 1).model is None
         assert TraceRecord(0, 0.0, 1.0, 1, model="Bert").model == "Bert"
