@@ -294,8 +294,8 @@ class ClusterSimulator:
         terminal + :meth:`finalize`.
 
         Raises:
-            SimulationError: If a job can never fit the cluster or the
-                step budget is exhausted.
+            SimulationError: If a job can never fit the cluster, two
+                specs share a job id, or the step budget is exhausted.
         """
         state = self.begin(specs, trace_name)
         while state.unfinished:
@@ -319,8 +319,9 @@ class ClusterSimulator:
                 submit); :meth:`run` keeps rejecting empty workloads.
 
         Raises:
-            SimulationError: If a job can never fit the cluster, or
-                ``specs`` is empty and ``allow_empty`` is False.
+            SimulationError: If a job can never fit the cluster, two
+                specs share a job id, or ``specs`` is empty and
+                ``allow_empty`` is False.
         """
         started_wall = _time.monotonic()
         total_gpus = self.cluster.total_gpus
@@ -334,6 +335,14 @@ class ClusterSimulator:
             raise SimulationError("workload is empty")
 
         jobs: Dict[int, Job] = {spec.job_id: Job(spec) for spec in specs}
+        if len(jobs) != len(specs):
+            seen = set()
+            for spec in specs:
+                if spec.job_id in seen:
+                    raise SimulationError(
+                        f"job id {spec.job_id} already submitted"
+                    )
+                seen.add(spec.job_id)
         result = SimulationResult(
             scheduler_name=self.scheduler.name,
             trace_name=trace_name,

@@ -79,7 +79,12 @@ def build_workload(spec: RunSpec) -> Tuple[str, List[JobSpec]]:
 
     Returns:
         ``(trace_name, job_specs)`` — deterministic for a given spec.
+
+    Raises:
+        ValueError: If ``spec.num_jobs`` is set and below 1.
     """
+    if spec.num_jobs is not None and spec.num_jobs < 1:
+        raise ValueError(f"num_jobs must be >= 1, got {spec.num_jobs}")
     if spec.trace_path is not None:
         # End-to-end ingestion: the cell replays a real (or
         # round-tripped) Philly CSV dump through the full adapter,
@@ -94,7 +99,8 @@ def build_workload(spec: RunSpec) -> Tuple[str, List[JobSpec]]:
         # rather than drawn from the paper's Philly presets.
         from repro.replay import synthetic_trace
 
-        trace = synthetic_trace(spec.num_jobs or 2_000, seed=spec.seed)
+        num_jobs = 2_000 if spec.num_jobs is None else spec.num_jobs
+        trace = synthetic_trace(num_jobs, seed=spec.seed)
     else:
         trace = generate_trace(
             spec.trace_id,

@@ -21,7 +21,9 @@ identical trace.
 
 from __future__ import annotations
 
+import math
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -159,25 +161,8 @@ class PhillyTraceGenerator:
                 preset regardless of size.
         """
         preset = self.preset
-        n = num_jobs if num_jobs is not None else preset.num_jobs
-        if n < 1:
-            raise ValueError("num_jobs must be >= 1")
-        # zlib.crc32 is stable across processes (str hashes are salted).
-        import zlib
-
-        seed_material = f"{self.seed}/{preset.name}/{n}".encode()
-        rng = random.Random(zlib.crc32(seed_material))
-
-        submit_times = self._arrival_times(rng, n)
-        durations = [self._duration(rng) for _ in range(n)]
-        gpus = [self._gpus(rng) for _ in range(n)]
-
-        # Trace-3 quirk: plant long jobs near the head of the trace.
-        head = max(1, n // 20)
-        planted = min(preset.long_head_jobs, head)
-        for slot in range(planted):
-            index = rng.randrange(head)
-            durations[index] = preset.long_head_duration * rng.uniform(0.8, 1.2)
+        submit_times, durations, gpus = self._columns(num_jobs)
+        n = len(durations)
 
         # Rescale submissions so the offered load matches the preset
         # regardless of trace size or arrival-process quirks.
@@ -189,17 +174,66 @@ class PhillyTraceGenerator:
             submit_times = [t * scale for t in submit_times]
 
         records = [
-            TraceRecord(
-                job_id=i,
-                submit_time=submit_times[i],
-                duration=durations[i],
-                num_gpus=gpus[i],
-            )
+            TraceRecord(i, submit_times[i], durations[i], gpus[i])
             for i in range(n)
         ]
         return Trace(name=preset.name, records=tuple(records))
 
     # -- internals ---------------------------------------------------------
+
+    def _columns(
+        self, num_jobs: Optional[int]
+    ) -> Tuple[List[float], List[float], List[int]]:
+        """Draw the raw ``(submit_times, durations, gpus)`` columns.
+
+        Submit times are the arrival process's own, before the
+        target-load rescale; every random number the trace uses is
+        drawn here, in a fixed order.
+        """
+        preset = self.preset
+        n = num_jobs if num_jobs is not None else preset.num_jobs
+        if n < 1:
+            raise ValueError("num_jobs must be >= 1")
+        # zlib.crc32 is stable across processes (str hashes are salted).
+        seed_material = f"{self.seed}/{preset.name}/{n}".encode()
+        rng = random.Random(zlib.crc32(seed_material))
+
+        submit_times = self._arrival_times(rng, n)
+
+        # Log-normal durations clipped to [30 s, cap].
+        mu = math.log(preset.duration_median)
+        sigma = preset.duration_sigma
+        cap = preset.duration_cap
+        lognormvariate = rng.lognormvariate
+        durations = [
+            min(max(lognormvariate(mu, sigma), 30.0), cap) for _ in range(n)
+        ]
+
+        # GPU counts by inverse CDF over the ascending counts.
+        thresholds: List[Tuple[float, int]] = []
+        cumulative = 0.0
+        for count, probability in sorted(preset.gpu_distribution.items()):
+            cumulative += probability
+            thresholds.append((cumulative, count))
+        fallback = max(preset.gpu_distribution)
+        draw = rng.random
+        gpus = []
+        for _ in range(n):
+            roll = draw()
+            for threshold, count in thresholds:
+                if roll < threshold:
+                    gpus.append(count)
+                    break
+            else:
+                gpus.append(fallback)
+
+        # Trace-3 quirk: plant long jobs near the head of the trace.
+        head = max(1, n // 20)
+        planted = min(preset.long_head_jobs, head)
+        for _ in range(planted):
+            index = rng.randrange(head)
+            durations[index] = preset.long_head_duration * rng.uniform(0.8, 1.2)
+        return submit_times, durations, gpus
 
     def _arrival_times(self, rng: random.Random, n: int) -> List[float]:
         preset = self.preset
@@ -214,22 +248,6 @@ class PhillyTraceGenerator:
             return diurnal_arrivals(rng, n, interarrival)
         raise ValueError(f"unknown arrival process {preset.arrivals!r}")
 
-    def _duration(self, rng: random.Random) -> float:
-        import math
-
-        mu = math.log(self.preset.duration_median)
-        value = rng.lognormvariate(mu, self.preset.duration_sigma)
-        return min(max(value, 30.0), self.preset.duration_cap)
-
-    def _gpus(self, rng: random.Random) -> int:
-        roll = rng.random()
-        cumulative = 0.0
-        for count, probability in sorted(self.preset.gpu_distribution.items()):
-            cumulative += probability
-            if roll < cumulative:
-                return count
-        return max(self.preset.gpu_distribution)
-
 
 def generate_trace(
     trace_id: str,
@@ -238,6 +256,13 @@ def generate_trace(
     at_time_zero: bool = False,
 ) -> Trace:
     """Convenience front-end: synthesize one of the paper's traces.
+
+    A prime trace is built in one pass from the generator's duration
+    and GPU columns: every record is submitted at t = 0, in job-id
+    order, under the name ``<preset>-prime``.  It equals
+    ``generate(num_jobs).at_time_zero()`` record for record, since the
+    submit-time rescale draws no random numbers and changes nothing
+    but the submit times.
 
     Args:
         trace_id: "1".."4", optionally with a trailing apostrophe
@@ -258,5 +283,12 @@ def generate_trace(
         raise KeyError(
             f"unknown trace id {trace_id!r}; valid: {', '.join(TRACE_PRESETS)}"
         )
-    trace = PhillyTraceGenerator(TRACE_PRESETS[key], seed=seed).generate(num_jobs)
-    return trace.at_time_zero() if prime else trace
+    preset = TRACE_PRESETS[key]
+    generator = PhillyTraceGenerator(preset, seed=seed)
+    if not prime:
+        return generator.generate(num_jobs)
+    _, durations, gpus = generator._columns(num_jobs)
+    records = tuple(
+        TraceRecord(i, 0.0, durations[i], gpus[i]) for i in range(len(gpus))
+    )
+    return Trace(name=f"{preset.name}-prime", records=records)

@@ -178,18 +178,31 @@ def load_philly_csv(
     jobs: Dict[str, _JobRows] = {}
 
     with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, None) or []
         missing = [col for col in CSV_FIELDS if col not in header]
         if missing:
             raise ValueError(
                 f"{path} is missing required columns {missing}; "
                 f"expected {list(CSV_FIELDS)}"
             )
+        # Rows read as csv.DictReader reads them: the last of two
+        # same-named columns wins, missing cells of a short row read as
+        # empty, and extra cells are ignored.
+        column = {name: index for index, name in enumerate(header)}
+        (
+            job_col, vc_col, status_col, submitted_col, start_col, end_col,
+            gpus_col,
+        ) = (column[name] for name in CSV_FIELDS)
+        width = max(column[name] for name in CSV_FIELDS) + 1
         for row in reader:
+            if not row:
+                continue  # a blank line, which DictReader skips too
             line = reader.line_num
+            if len(row) < width:
+                row += [""] * (width - len(row))
             report.rows_read += 1
-            job_id = (row.get("job_id") or "").strip()
+            job_id = row[job_col].strip()
             if not job_id:
                 report.record("missing_field", line, None)
                 continue
@@ -199,13 +212,13 @@ def load_philly_csv(
             # Job columns: first non-empty value wins, so repeated
             # attempt rows cannot silently rewrite a job's identity.
             if not acc.vc:
-                acc.vc = (row.get("vc") or "").strip() or None
+                acc.vc = row[vc_col].strip() or None
             if not acc.status:
-                acc.status = (row.get("status") or "").strip() or None
+                acc.status = row[status_col].strip() or None
             if not acc.submitted_raw:
-                acc.submitted_raw = (row.get("submitted_time") or "").strip()
+                acc.submitted_raw = row[submitted_col].strip()
 
-            gpus_raw = (row.get("num_gpus") or "").strip()
+            gpus_raw = row[gpus_col].strip()
             try:
                 gpus = int(gpus_raw)
             except ValueError:
@@ -221,8 +234,7 @@ def load_philly_csv(
                 report.record("bad_gpus", line, job_id)
                 continue
             window = _attempt_window(
-                (row.get("attempt_start_time") or "").strip(),
-                (row.get("attempt_end_time") or "").strip(),
+                row[start_col].strip(), row[end_col].strip()
             )
             if window is None:
                 report.record("bad_attempt_window", line, job_id)

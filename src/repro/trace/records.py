@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.numeric import ordered_sum
 
 __all__ = ["TraceRecord", "Trace"]
+
+#: Trace order: submission time, ties broken by job id.
+_TRACE_ORDER = attrgetter("submit_time", "job_id")
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,7 @@ class Trace:
     records: tuple
 
     def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.records, key=lambda r: (r.submit_time, r.job_id))
-        )
+        ordered = tuple(sorted(self.records, key=_TRACE_ORDER))
         object.__setattr__(self, "records", ordered)
 
     # -- basic container behaviour -----------------------------------------
@@ -114,12 +116,16 @@ class Trace:
         """The paper's "prime" variant: every job submitted at t = 0.
 
         Used in Figs. 9, 10 (traces 1'-4') and throughout Fig. 12 to
-        raise contention.
+        raise contention.  The records keep their ids, durations, GPU
+        counts and models, and end up in job-id order.  For a generated
+        trace, :func:`repro.trace.philly.generate_trace` builds the same
+        trace in one pass (``"1'"`` or ``at_time_zero=True``).
         """
         return Trace(
             name=f"{self.name}-prime",
             records=tuple(
-                replace(r, submit_time=0.0) for r in self.records
+                TraceRecord(r.job_id, 0.0, r.duration, r.num_gpus, r.model)
+                for r in self.records
             ),
         )
 
@@ -147,12 +153,23 @@ class Trace:
         return Trace(
             name=f"{self.name}-busiest{num_jobs}",
             records=tuple(
-                replace(r, submit_time=r.submit_time - base) for r in window
+                TraceRecord(
+                    r.job_id, r.submit_time - base, r.duration, r.num_gpus,
+                    r.model,
+                )
+                for r in window
             ),
         )
 
     def head(self, num_jobs: int) -> "Trace":
-        """The first ``num_jobs`` submissions."""
+        """The first ``num_jobs`` submissions.
+
+        Raises:
+            ValueError: If ``num_jobs < 1`` (a negative count would
+                silently drop records from the tail instead).
+        """
+        if num_jobs < 1:
+            raise ValueError("num_jobs must be >= 1")
         return Trace(
             name=f"{self.name}-head{num_jobs}",
             records=self.records[:num_jobs],
@@ -165,7 +182,11 @@ class Trace:
         return Trace(
             name=f"{self.name}-x{factor:g}",
             records=tuple(
-                replace(r, duration=r.duration * factor) for r in self.records
+                TraceRecord(
+                    r.job_id, r.submit_time, r.duration * factor, r.num_gpus,
+                    r.model,
+                )
+                for r in self.records
             ),
         )
 

@@ -11,6 +11,8 @@ from repro.core.muri import MuriScheduler
 from repro.sim.contention import IDEAL_CONTENTION
 from repro.sim.faults import FaultInjector
 from repro.sim.simulator import ClusterSimulator, SimulationError
+from repro.trace.records import Trace, TraceRecord
+from repro.trace.workload import build_jobs
 
 UNIT = StageProfile((0.25, 0.25, 0.25, 0.25))  # 1 second per iteration
 CPU2 = StageProfile((0.0, 2.0, 1.0, 0.0))      # 3 s/iter, CPU-heavy
@@ -198,6 +200,23 @@ class TestValidation:
         with pytest.raises(SimulationError):
             ideal_sim(FifoScheduler()).run([])
 
+    def test_duplicate_job_ids_rejected(self):
+        # Two records share job id 0: a dict keyed by id would keep one
+        # of them and report 2 JCTs for 3 specs.
+        trace = Trace(name="dup", records=(
+            TraceRecord(0, 0.0, 60.0, 1),
+            TraceRecord(0, 5.0, 60.0, 1),
+            TraceRecord(1, 9.0, 60.0, 1),
+        ))
+        specs = build_jobs(trace, seed=0)
+        simulator = ClusterSimulator(MuriScheduler(), cluster=Cluster(1, 8))
+        with pytest.raises(SimulationError, match="job id 0 already"):
+            simulator.run(specs)
+        with pytest.raises(SimulationError, match="job id 0 already"):
+            simulator.begin(specs)
+        result = simulator.run(specs[1:])
+        assert len(result.jcts) == 2
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ClusterSimulator(FifoScheduler(), scheduling_interval=0.0)
@@ -287,6 +306,16 @@ class TestLifecycleApi:
         result = simulator.finalize(state)
         # The late job arrives at the current clock, never in the past.
         assert result.finish_times[late.job_id] >= 10.0
+
+    def test_inject_after_empty_begin_still_rejects_duplicates(self):
+        simulator = ideal_sim(FifoScheduler())
+        state = simulator.begin([], allow_empty=True)
+        first = simulator.inject(state, spec(10))
+        with pytest.raises(SimulationError, match="already submitted"):
+            simulator.inject(state, first.spec)
+        while state.unfinished:
+            simulator.step(state)
+        assert list(simulator.finalize(state).jcts) == [first.job_id]
 
     def test_inject_oversized_rejected(self):
         simulator = ideal_sim(FifoScheduler())

@@ -119,6 +119,35 @@ def test_diff_metrics_tolerance_is_configurable(tmp_path):
     assert proc.returncode == 1
 
 
+def test_diff_metrics_sweep_gate_is_exact_and_two_sided(tmp_path):
+    old_store = tmp_path / "old.jsonl"
+    new_store = tmp_path / "new.jsonl"
+    baseline = tmp_path / "baseline.json"
+    _store_with_metrics(old_store, {"A": 10.0, "B": 20.0})
+    # A improved by 40%; B is unchanged.
+    _store_with_metrics(new_store, {"A": 6.0, "B": 20.0})
+    _run_tool(
+        "diff_metrics.py", str(old_store), "--baseline", str(baseline),
+        "--update",
+    )
+
+    proc = _run_tool(
+        "diff_metrics.py", str(old_store), "--baseline", str(baseline),
+        "--tolerance", "0",
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert "0 failure(s)" in proc.stdout
+
+    for tolerance in ("0", "0.05"):
+        proc = _run_tool(
+            "diff_metrics.py", str(new_store), "--baseline", str(baseline),
+            "--tolerance", tolerance,
+        )
+        assert proc.returncode == 1, proc.stdout
+        assert "exceeds -" in proc.stdout
+        assert "2 failure(s)" in proc.stdout  # A's avg_jct and makespan
+
+
 def test_diff_metrics_merges_shard_stores(tmp_path):
     shard_a = tmp_path / "shard-1.jsonl"
     shard_b = tmp_path / "shard-2.jsonl"

@@ -93,6 +93,11 @@ class TestTransformations:
         head = make_trace().head(2)
         assert [r.job_id for r in head] == [1, 2]
 
+    @pytest.mark.parametrize("num_jobs", (0, -1))
+    def test_head_invalid(self, num_jobs):
+        with pytest.raises(ValueError):
+            make_trace().head(num_jobs)
+
     def test_scaled_durations(self):
         scaled = make_trace().scaled_durations(2.0)
         assert scaled.total_gpu_seconds == pytest.approx(

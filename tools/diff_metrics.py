@@ -3,10 +3,10 @@
 
 Default mode compares the key metrics (average JCT and makespan per
 run id) from one or more sweep JSONL stores against a committed
-baseline JSON and fails when any run regressed by more than the
-tolerance.  Shard stores can be passed together — they are merged
-before diffing, so the CI matrix uploads its three shard artifacts
-and this gate checks the union.
+baseline JSON and fails when any run moved by more than the
+tolerance, in either direction.  Shard stores can be passed together
+— they are merged before diffing, so the CI matrix uploads its three
+shard artifacts and this gate checks the union.
 
 ``--bench`` mode instead compares one ``repro bench`` output document
 (``BENCH_grouping.json`` / ``BENCH_service.json`` /
@@ -15,16 +15,21 @@ gated (see ``docs/performance.md``); metrics present on one side only
 are reported as notices, not failures, so a ``--quick`` CI run gates
 cleanly against a committed full-suite baseline.
 
-Regressions are one-sided in both modes: a *higher* value than the
-baseline is a failure, a lower one is reported as a notice (commit a
-refreshed baseline with ``--update`` to lock in improvements).  In
-sweep mode, run ids present in only one side always fail the gate: a
-missing run means the sweep grid silently shrank, a new run means the
-baseline is stale — both want an explicit ``--update``.
+The sweep is deterministic, so its gate is two-sided: an unexplained
+improvement is as suspect as a regression, and CI runs it with
+``--tolerance 0`` (every value must equal the baseline exactly).  A
+change that moves numbers on purpose commits a refreshed baseline with
+``--update``.  Run ids present in only one side always fail the gate:
+a missing run means the sweep grid silently shrank, a new run means
+the baseline is stale — both want an explicit ``--update``.
+
+Bench mode gates timings, so it stays one-sided: a *higher* value
+than the baseline is a failure, a lower one is reported as a notice.
 
 Usage::
 
-    python tools/diff_metrics.py shard-*.jsonl --baseline benchmarks/baselines/sweep_metrics.json
+    python tools/diff_metrics.py shard-*.jsonl --baseline benchmarks/baselines/sweep_metrics.json \
+        --tolerance 0
     python tools/diff_metrics.py shard-*.jsonl --baseline ... --update
     python tools/diff_metrics.py --bench bench-out/BENCH_grouping.json \
         --baseline BENCH_grouping.json --tolerance 0.10
@@ -131,7 +136,11 @@ def diff(
     baseline: Dict[str, dict],
     tolerance: float,
 ) -> int:
-    """Print the comparison; return the number of gate failures."""
+    """Print the comparison; return the number of gate failures.
+
+    A metric fails when it moved by more than ``tolerance`` (relative)
+    in either direction; at tolerance 0 any change fails.
+    """
     failures = 0
     missing = sorted(set(baseline) - set(current))
     new = sorted(set(current) - set(baseline))
@@ -150,28 +159,25 @@ def diff(
         )
         failures += 1
 
-    improvements = 0
     for run_id in sorted(set(current) & set(baseline)):
         now, then = current[run_id], baseline[run_id]
         for metric in METRICS:
             before, after = float(then[metric]), float(now[metric])
-            if before <= 0:
+            if after == before:
                 continue
-            delta = (after - before) / before
-            context = (
-                f"{run_id} ({now['experiment']}/{now['trace_id']}/"
-                f"{now['label']}) {metric}: "
-                f"{before:.2f} -> {after:.2f} ({delta:+.1%})"
+            delta = (after - before) / before if before > 0 else float("inf")
+            if abs(delta) <= tolerance:
+                continue
+            print(
+                f"FAIL {run_id} ({now['experiment']}/{now['trace_id']}/"
+                f"{now['label']}) {metric}: {before!r} -> {after!r} "
+                f"({delta:+.1%}) exceeds {'+' if delta > 0 else '-'}"
+                f"{tolerance:.0%}"
             )
-            if delta > tolerance:
-                print(f"FAIL {context} exceeds +{tolerance:.0%}")
-                failures += 1
-            elif delta < -tolerance:
-                print(f"note {context} improved — consider --update")
-                improvements += 1
+            failures += 1
     print(
         f"compared {len(set(current) & set(baseline))} run(s): "
-        f"{failures} failure(s), {improvements} improvement notice(s)"
+        f"{failures} failure(s)"
     )
     return failures
 
@@ -190,7 +196,8 @@ def main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.05,
-        help="allowed relative increase per metric (default 0.05)",
+        help="allowed relative change per metric (default 0.05); sweep "
+             "mode fails on a move either way, bench mode on a rise",
     )
     parser.add_argument(
         "--update", action="store_true",
