@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro import ClusterSimulator
 from repro.analysis import format_table
+from repro.observe import Tracer
 from repro.cluster import Cluster
 from repro.schedulers import make_scheduler
 from repro.sim import DecisionLog
@@ -47,9 +48,13 @@ def main():
     metrics = {}
     for name in SCHEDULERS:
         scheduler = make_scheduler(name)
+        # The decision log rides the simulator's tracer; the scheduler
+        # gets no tracer, so its internals stay untraced.
         decision_log = DecisionLog()
+        tracer = Tracer()
+        tracer.subscribe(decision_log)
         result = ClusterSimulator(
-            scheduler, cluster=Cluster(8, 8), decision_log=decision_log
+            scheduler, cluster=Cluster(8, 8), tracer=tracer
         ).run(specs, trace.name)
         summary = result.summary()
         rows.append((

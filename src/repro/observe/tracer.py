@@ -12,6 +12,8 @@ Design constraints, in order:
 3. **Bounded memory.**  At most ``max_events`` events are stored;
    overflow increments :attr:`Tracer.dropped_events` instead of
    growing without bound on long simulations.
+4. **One channel.**  Other observers (the decision log, the worker
+   monitor) attach through :meth:`Tracer.subscribe`, not new parameters.
 
 Wall-clock timestamps come from :func:`time.perf_counter` relative to
 the tracer's creation, so spans are comparable across one run.
@@ -20,7 +22,7 @@ the tracer's creation, so spans are comparable across one run.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.observe.events import EventCategory, TraceEvent
 from repro.observe.provenance import ProvenanceStore
@@ -140,8 +142,30 @@ class Tracer:
         self.provenance = ProvenanceStore(max_groupings_per_job)
         self._events: List[TraceEvent] = []
         self._counters: Dict[str, int] = {}
+        self._event_subscribers: List[Callable[..., None]] = []
+        self._inspect_subscribers: List[Callable[..., None]] = []
         self._span_depth = 0
         self._epoch = time.perf_counter()
+
+    # -- subscribers --------------------------------------------------------
+
+    def subscribe(self, subscriber: Any) -> None:
+        """Feed ``subscriber`` every later event and check point.
+
+        It defines ``on_event(name, sim_time, args)``,
+        ``on_inspect(point, sim_time, state)`` or both, called from
+        :meth:`emit` / :meth:`inspect` in subscription order whether or
+        not the event is stored (never when disabled).  ``args`` and
+        ``state`` are the producer's live dicts: read, do not mutate.
+        """
+        on_event = getattr(subscriber, "on_event", None)
+        on_inspect = getattr(subscriber, "on_inspect", None)
+        if on_event is None and on_inspect is None:
+            raise TypeError(f"{subscriber!r} has no on_event or on_inspect")
+        if on_event is not None:
+            self._event_subscribers.append(on_event)
+        if on_inspect is not None:
+            self._inspect_subscribers.append(on_inspect)
 
     # -- recording ---------------------------------------------------------
 
@@ -152,7 +176,8 @@ class Tracer:
         sim_time: float = 0.0,
         **args: Any,
     ) -> None:
-        """Record one instant event (no-op when disabled)."""
+        """Record one instant event and feed it to the subscribers
+        (no-op when disabled)."""
         if not self.enabled:
             return
         self._record(
@@ -164,6 +189,9 @@ class Tracer:
                 args=args,
             )
         )
+        if self._event_subscribers:
+            for notify in self._event_subscribers:
+                notify(name, sim_time, args)
 
     def span(self, name: str, sim_time: float = 0.0, **args: Any):
         """A context manager timing a wall-clock span.
@@ -188,18 +216,23 @@ class Tracer:
         ``inspect`` hands subclasses the actual in-flight objects
         (proposed :class:`~repro.core.group.JobGroup` plans, the
         cluster) at well-known points of the simulator/scheduler stack.
-        The base tracer ignores the call — it exists so verification
-        layers (``repro.verify``) can attach runtime invariant checks
-        through the same ``tracer=`` parameter every component already
-        threads, without new plumbing.  Call sites guard on
-        ``tracer.enabled`` like any other instrumentation.
+        The base tracer only feeds the call to its subscribers — it
+        exists so verification layers (``repro.verify``) and observers
+        such as the worker monitor attach through the same ``tracer=``
+        parameter every component already threads, without new
+        plumbing.  Call sites guard on ``tracer.enabled`` like any
+        other instrumentation.
 
         Args:
             point: Check-point name (e.g. ``"sim.plan"``,
-                ``"sched.order"``, ``"sim.cluster"``).
+                ``"sched.order"``, ``"sim.cluster"``,
+                ``"sim.timepoint"``).
             sim_time: Simulation time at the check point.
             **state: Live objects the check point exposes.
         """
+        if self._inspect_subscribers:
+            for notify in self._inspect_subscribers:
+                notify(point, sim_time, state)
 
     def _record(self, event: TraceEvent) -> None:
         if len(self._events) >= self.max_events:

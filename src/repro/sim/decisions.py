@@ -4,14 +4,18 @@ When a scheduler misbehaves — churns preemptions, starves a job,
 leaves GPUs idle — the cluster-level metrics say *that* it happened but
 not *why*.  :class:`DecisionLog` records every scheduler invocation:
 when and why it ran, what it proposed, what was started, kept,
-preempted, and what failed placement.  Attach it via
-``ClusterSimulator(decision_log=...)``.
+preempted, and what failed placement.  It is a tracer subscriber:
+each :class:`Decision` is built from the ``sched.decision`` event the
+simulator emits once per invocation, so attach it with
+``tracer.subscribe(log)`` on the tracer (or armed
+:class:`~repro.verify.InvariantChecker`) passed to
+:class:`~repro.sim.simulator.ClusterSimulator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Mapping
 
 __all__ = ["Decision", "DecisionLog"]
 
@@ -22,7 +26,10 @@ class Decision:
 
     Attributes:
         time: Simulation time of the invocation.
-        reason: "tick" or "completion".
+        reason: "tick", "completion", or the simulator's
+            ``arrival_reason`` for an arrival-triggered invocation
+            ("completion" by default; the online service passes
+            "arrival").
         proposed_groups: Groups the scheduler returned.
         kept: Groups already running that continue untouched.
         started: Groups newly placed this round.
@@ -48,14 +55,24 @@ class Decision:
 
 
 class DecisionLog:
-    """Collects :class:`Decision` records during a simulation."""
+    """Collects :class:`Decision` records during a simulation; a
+    :class:`~repro.observe.Tracer` subscriber (``tracer.subscribe``)."""
 
     def __init__(self) -> None:
         self._decisions: List[Decision] = []
 
     # -- ingestion ---------------------------------------------------------
 
+    def on_event(self, name: str, sim_time: float, args: Mapping[str, Any]) -> None:
+        """Record each ``sched.decision`` event as a :class:`Decision`."""
+        if name == "sched.decision":
+            self.record(Decision(sim_time, args["reason"], args["proposed"],
+                                 args["kept"], args["started"], args["preempted"],
+                                 args["unplaced"], args["queue_length"],
+                                 args["free_gpus"]))
+
     def record(self, decision: Decision) -> None:
+        """Append one decision to the log."""
         self._decisions.append(decision)
 
     # -- queries ----------------------------------------------------------
@@ -67,6 +84,7 @@ class DecisionLog:
         return iter(self._decisions)
 
     def decisions(self) -> List[Decision]:
+        """Every recorded decision, in order."""
         return list(self._decisions)
 
     def to_dicts(self) -> List[Dict[str, object]]:
@@ -80,6 +98,7 @@ class DecisionLog:
 
     @property
     def total_started(self) -> int:
+        """Groups started across all decisions."""
         return sum(d.started for d in self._decisions)
 
     def churn_rate(self) -> float:

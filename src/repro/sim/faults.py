@@ -51,6 +51,7 @@ class FaultInjector:
 
     @property
     def enabled(self) -> bool:
+        """True unless the mean time between faults is infinite."""
         return self.mean_time_between_faults != float("inf")
 
     def sample_fault_delay(self) -> Optional[float]:

@@ -13,12 +13,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.jobs.resources import NUM_RESOURCES, RESOURCE_ORDER, Resource
 from repro.numeric import ordered_sum
 
 __all__ = ["TimePoint", "MetricsSummary", "SimulationResult", "percentile"]
+
+_NUMBER = (int, float)
+
+
+def check_fields(
+    payload: Any, owner: str, required: Mapping[str, Any],
+    optional: Mapping[str, Any] = {},
+) -> None:
+    """Check a decoded JSON ``payload`` against ``{field: type(s)}`` maps.
+
+    Raises:
+        ValueError: Naming ``owner`` and the field, when ``payload`` is
+            not an object, lacks a required field, or holds a listed
+            field of another type.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{owner} payload must be a JSON object, "
+                         f"got {type(payload).__name__}")
+    for name, types in {**optional, **required}.items():
+        if name not in payload:
+            if name in required:
+                raise ValueError(f"{owner} payload lacks field {name!r}")
+        elif not isinstance(payload[name], types):
+            raise ValueError(f"{owner} field {name!r} has type "
+                             f"{type(payload[name]).__name__}")
 
 
 def percentile(
@@ -142,6 +167,7 @@ class SimulationResult:
 
     @property
     def num_jobs(self) -> int:
+        """Number of completed jobs."""
         return len(self.jcts)
 
     @property
@@ -197,10 +223,12 @@ class SimulationResult:
 
     @property
     def avg_queue_length(self) -> float:
+        """Time-weighted mean number of pending jobs."""
         return self._weighted_average(lambda p: p.queue_length)
 
     @property
     def avg_blocking_index(self) -> float:
+        """Time-weighted mean blocking index (Fig. 8)."""
         return self._weighted_average(lambda p: p.blocking_index)
 
     def avg_utilization(self) -> Tuple[float, ...]:
@@ -211,6 +239,7 @@ class SimulationResult:
         )
 
     def utilization_of(self, resource: Resource) -> float:
+        """Time-weighted mean busy fraction of one resource."""
         return self.avg_utilization()[Resource(resource)]
 
     # -- summaries ----------------------------------------------------------------
@@ -301,13 +330,24 @@ class SimulationResult:
         """Rebuild a result from :meth:`to_dict` output.
 
         Raises:
-            ValueError: On an unknown format version.
+            ValueError: On an unknown format version, a non-object
+                payload, or a missing or mistyped field (named).
         """
+        check_fields(payload, "SimulationResult", {})
         version = payload.get("format_version")
         if version != cls.FORMAT_VERSION:
             raise ValueError(
                 f"unsupported result format version: {version!r}"
             )
+        check_fields(payload, "SimulationResult", {
+            "scheduler_name": str, "trace_name": str, "jcts": dict,
+            "finish_times": dict, "submit_times": dict,
+            "total_preemptions": int, "total_restart_time": _NUMBER,
+            "wall_clock": _NUMBER, "timeseries": list,
+        }, {"gpu_seconds_by_type": dict, "gpus_by_type": dict})
+        if not all(isinstance(p, dict) for p in payload["timeseries"]):
+            raise ValueError("SimulationResult field 'timeseries' holds a "
+                             "non-object point")
         result = cls(
             scheduler_name=payload["scheduler_name"],
             trace_name=payload["trace_name"],

@@ -38,11 +38,9 @@ from repro.observe.provenance import OutcomeRecord
 from repro.observe.tracer import Tracer, maybe_span
 from repro.schedulers.base import Scheduler, group_key
 from repro.sim.contention import DEFAULT_CONTENTION, ContentionModel
-from repro.sim.decisions import Decision, DecisionLog
 from repro.sim.engine import Event, EventKind, EventQueue
 from repro.sim.faults import FaultInjector
 from repro.sim.metrics import SimulationResult, TimePoint
-from repro.sim.monitor import WorkerMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hetero.types import TypeScaling
@@ -216,9 +214,6 @@ class ClusterSimulator:
             the online service passes "arrival" so event-aware
             schedulers regroup instead of serving a stale backfill
             cache.
-        monitor: Optional worker monitor (Fig. 3) fed machine-level
-            utilization samples, job progress reports, and fault
-            notifications during the run.
         placer: GPU placement policy; defaults to the paper's
             descending / best-fit consolidation.
         landing_speed_scaling: Optional per-model × per-generation
@@ -229,14 +224,17 @@ class ClusterSimulator:
             slowest generation its allocation touches: the period
             divides by ``factor(lead model, generation)``.  None (the
             default) keeps the pre-hetero arithmetic bit-identical.
-        decision_log: Optional audit log recording every scheduler
-            invocation (kept/started/preempted/unplaced groups).
-        tracer: Optional :class:`~repro.observe.Tracer`.  When enabled,
-            the run emits job lifecycle events (arrival, start,
-            preemption, fault, finish), per-invocation scheduling
-            decisions, and group placement outcomes, and files
-            per-job :class:`~repro.observe.OutcomeRecord` provenance.
-            None (the default) costs the hot paths nothing.
+        tracer: Optional :class:`~repro.observe.Tracer`, the run's one
+            observation channel.  When enabled, the run emits job
+            lifecycle events (arrival, start, preemption, fault,
+            finish), per-invocation scheduling decisions, and group
+            placement outcomes, files per-job
+            :class:`~repro.observe.OutcomeRecord` provenance, and
+            exposes live state at ``inspect`` points; observers such as
+            :class:`~repro.sim.DecisionLog` and
+            :class:`~repro.sim.WorkerMonitor` attach with
+            :meth:`~repro.observe.Tracer.subscribe`.  None (the
+            default) costs the hot paths nothing.
         max_steps: Safety valve on simulator iterations.
     """
 
@@ -252,10 +250,8 @@ class ClusterSimulator:
         backfill_on_completion: bool = False,
         reschedule_on_arrival: bool = False,
         arrival_reason: str = "completion",
-        monitor: Optional["WorkerMonitor"] = None,
         placer: Optional[DescendingPlacer] = None,
         landing_speed_scaling: Optional["TypeScaling"] = None,
-        decision_log: Optional[DecisionLog] = None,
         tracer: Optional[Tracer] = None,
         max_steps: Optional[int] = None,
     ) -> None:
@@ -275,8 +271,6 @@ class ClusterSimulator:
         self.backfill_on_completion = backfill_on_completion
         self.reschedule_on_arrival = reschedule_on_arrival
         self.arrival_reason = arrival_reason
-        self.monitor = monitor
-        self.decision_log = decision_log
         self.tracer = tracer
         self.max_steps = max_steps
         self.placer = placer if placer is not None else DescendingPlacer()
@@ -869,19 +863,6 @@ class ClusterSimulator:
             )
             tracer.inspect("sim.cluster", now, cluster=self.cluster)
 
-        if self.decision_log is not None:
-            self.decision_log.record(Decision(
-                time=now,
-                reason=reason,
-                proposed_groups=len(valid),
-                kept=len(valid) - len(new_groups),
-                started=started,
-                preempted=stopped,
-                unplaced=len(new_groups) - started,
-                queue_length=len(pending),
-                free_gpus=self.cluster.free_gpus,
-            ))
-
     def _trace_outcome(
         self, job_id: int, sim_time: float, outcome: str, detail: str = ""
     ) -> None:
@@ -1070,10 +1051,6 @@ class ClusterSimulator:
             for job in faulted:
                 if job in rgroup.active:
                     fault_time = self._advance_clock + span
-                    if self.monitor is not None:
-                        self.monitor.report_fault(
-                            self._advance_clock + span, job.job_id
-                        )
                     loss = self.fault_injector.progress_loss
                     remaining_before = job.remaining_iterations
                     if loss > 0:
@@ -1185,53 +1162,14 @@ class ClusterSimulator:
             )
         )
 
-        if self.monitor is not None:
-            self._feed_monitor(now, span, running)
-
-    def _feed_monitor(
-        self,
-        now: float,
-        span: float,
-        running: Dict[FrozenSet[int], _RunningGroup],
-    ) -> None:
-        """Report per-machine utilization and job progress (Fig. 3)."""
-        machine_util: Dict[int, List[float]] = {
-            m.machine_id: [0.0] * NUM_RESOURCES for m in self.cluster.machines
-        }
-        machine_alloc: Dict[int, int] = {
-            m.machine_id: m.allocated_gpu_count for m in self.cluster.machines
-        }
-        for rgroup in running.values():
-            period = rgroup.period(self.contention, self.uncoordinated_penalty)
-            productive_share = (
-                max(0.0, (span - rgroup.penalty_remaining) / span)
-                if span > 0 else 0.0
-            )
-            slots_per_machine: Dict[int, int] = {}
-            for slot in rgroup.allocation.slots:
-                slots_per_machine[slot.machine_id] = (
-                    slots_per_machine.get(slot.machine_id, 0) + 1
-                )
-            for machine_id, slots in slots_per_machine.items():
-                weight = (
-                    slots
-                    / self.cluster.machine(machine_id).num_gpus
-                    * productive_share
-                )
-                for resource in range(NUM_RESOURCES):
-                    machine_util[machine_id][resource] += (
-                        rgroup.busy_time(resource) / period * weight
-                    )
-            for job in rgroup.active:
-                self.monitor.report_progress(
-                    now, job.job_id, job.remaining_iterations,
-                    job.attained_service,
-                )
-        for machine_id, utilization in machine_util.items():
-            self.monitor.record_machine(
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.inspect(
+                "sim.timepoint",
                 now,
-                span,
-                machine_id,
-                machine_alloc[machine_id],
-                tuple(min(1.0, u) for u in utilization),
+                span=span,
+                running=running,
+                cluster=self.cluster,
+                contention=self.contention,
+                uncoordinated_penalty=self.uncoordinated_penalty,
             )

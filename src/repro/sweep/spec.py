@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.sim.metrics import SimulationResult
+from repro.sim.metrics import SimulationResult, check_fields
 
 __all__ = ["RunSpec", "RunResult", "canonical_json", "parse_shard", "in_shard"]
 
@@ -178,7 +178,16 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: On a non-object payload, or a missing or
+                mistyped identity field (named).
+        """
+        check_fields(payload, "RunSpec", {
+            "experiment": str, "label": str, "scheduler": str,
+            "trace_id": str, "seed": int,
+        })
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in payload.items() if k in known}
         return cls(**kwargs)
@@ -295,7 +304,18 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunResult":
-        """Rebuild a result from :meth:`to_dict` output."""
+        """Rebuild a result from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: On a non-object payload, or a missing or
+                mistyped field (named).
+        """
+        nullable = type(None)
+        check_fields(payload, "RunResult", {"run_id": str, "status": str}, {
+            "spec": (dict, nullable), "result": (dict, nullable),
+            "error": (str, nullable), "attempts": int,
+            "wall_clock": (int, float),
+        })
         spec_payload = payload.get("spec")
         return cls(
             run_id=payload["run_id"],

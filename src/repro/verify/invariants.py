@@ -287,7 +287,11 @@ class InvariantChecker(Tracer):
     fault progress conservation) run inside :meth:`emit`; structural
     invariants over live plans (gamma/Eq. 3 consistency, offsets,
     queue order, plan capacity) run inside the :meth:`inspect` hook the
-    simulator and Muri scheduler call at their decision points.
+    simulator and Muri scheduler call at their decision points.  It
+    inherits :meth:`~repro.observe.Tracer.subscribe`, and feeds its
+    subscribers even when it stores nothing, so one armed run can also
+    carry a :class:`~repro.sim.DecisionLog` and a
+    :class:`~repro.sim.WorkerMonitor`.
 
     Args:
         invariants: Names from :data:`INVARIANT_CATALOG` to arm
@@ -352,11 +356,15 @@ class InvariantChecker(Tracer):
         sim_time: float = 0.0,
         **args: Any,
     ) -> None:
-        """Check the event against the armed invariants, then record it
-        only when ``store_events`` was requested."""
+        """Check the event against the armed invariants, record it
+        only when ``store_events`` was requested, and feed it to the
+        event subscribers either way."""
         self._check_event(name, sim_time, args)
         if self._store_events:
             super().emit(category, name, sim_time, **args)
+        elif self._event_subscribers:
+            for notify in self._event_subscribers:
+                notify(name, sim_time, args)
 
     def _record(self, event) -> None:
         """Store span/instant events only in ``store_events`` mode."""
@@ -389,6 +397,8 @@ class InvariantChecker(Tracer):
           groups), ``policy`` (the priority callable), ``now``.
         * ``"sim.cluster"`` — the live cluster after placement:
           ``cluster``.
+
+        Every point, known or not, then goes to the inspect subscribers.
         """
         if point == "sim.plan":
             self._check_plan(
@@ -404,6 +414,9 @@ class InvariantChecker(Tracer):
             self._check_plan_membership(sim_time, state["plan"])
         elif point == "sim.cluster":
             self._check_cluster(sim_time, state["cluster"])
+        if self._inspect_subscribers:
+            for notify in self._inspect_subscribers:
+                notify(point, sim_time, state)
 
     # -- event-driven invariants ---------------------------------------------
 

@@ -6,6 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.muri import MuriScheduler
 from repro.jobs.job import JobSpec
 from repro.jobs.stage import StageProfile
+from repro.observe import Tracer
 from repro.schedulers.classic import FifoScheduler, SrtfScheduler
 from repro.sim.contention import IDEAL_CONTENTION
 from repro.sim.decisions import Decision, DecisionLog
@@ -16,11 +17,13 @@ UNIT = StageProfile((0.25, 0.25, 0.25, 0.25))
 
 def run_logged(scheduler, specs, **kwargs):
     log = DecisionLog()
+    tracer = Tracer()
+    tracer.subscribe(log)
     defaults = dict(
         restart_penalty=0.0,
         contention=IDEAL_CONTENTION,
         scheduling_interval=100.0,
-        decision_log=log,
+        tracer=tracer,
     )
     defaults.update(kwargs)
     ClusterSimulator(scheduler, cluster=Cluster(1, 1), **defaults).run(

@@ -158,6 +158,21 @@ class TestSerialization:
             SimulationResult.from_dict(payload)
 
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: [1], "payload must be a JSON object"),
+        (lambda p: {k: v for k, v in p.items() if k != "jcts"},
+         "lacks field 'jcts'"),
+        (lambda p: {**p, "trace_name": 3}, "field 'trace_name' has type int"),
+        (lambda p: {**p, "jcts": [1.0]}, "field 'jcts' has type list"),
+        (lambda p: {**p, "timeseries": [1]}, "field 'timeseries'"),
+        (lambda p: {**p, "gpus_by_type": []}, "field 'gpus_by_type'"),
+    ])
+    def test_wrong_shape_names_the_field(self, change, message):
+        payload = change(make_result().to_dict())
+        with pytest.raises(ValueError, match=message):
+            SimulationResult.from_dict(payload)
+
+
 class TestUtilizationByType:
     def make_typed_result(self):
         result = make_result()

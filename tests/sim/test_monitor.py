@@ -5,12 +5,20 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.jobs.job import JobSpec
 from repro.jobs.stage import StageProfile
+from repro.observe import Tracer
 from repro.schedulers.classic import FifoScheduler
 from repro.sim.faults import FaultInjector
 from repro.sim.monitor import WorkerMonitor
 from repro.sim.simulator import ClusterSimulator
 
 UNIT = StageProfile((0.25, 0.25, 0.25, 0.25))
+
+
+def subscribed(monitor):
+    """A tracer that feeds ``monitor``."""
+    tracer = Tracer()
+    tracer.subscribe(monitor)
+    return tracer
 
 
 class TestMonitorUnit:
@@ -62,7 +70,7 @@ class TestMonitorInSimulation:
         specs = [JobSpec(profile=UNIT, num_iterations=100),
                  JobSpec(profile=UNIT, num_iterations=50)]
         ClusterSimulator(
-            FifoScheduler(), cluster=Cluster(2, 1), monitor=monitor,
+            FifoScheduler(), cluster=Cluster(2, 1), tracer=subscribed(monitor),
             restart_penalty=0.0,
         ).run(specs, "monitored")
         assert monitor.machine_ids() == [0, 1]
@@ -74,7 +82,7 @@ class TestMonitorInSimulation:
         monitor = WorkerMonitor(progress_interval=10.0)
         spec = JobSpec(profile=UNIT, num_iterations=500)
         ClusterSimulator(
-            FifoScheduler(), cluster=Cluster(1, 1), monitor=monitor,
+            FifoScheduler(), cluster=Cluster(1, 1), tracer=subscribed(monitor),
             restart_penalty=0.0, scheduling_interval=50.0,
         ).run([spec], "monitored")
         reports = monitor.progress_of(spec.job_id)
@@ -88,7 +96,7 @@ class TestMonitorInSimulation:
         ClusterSimulator(
             FifoScheduler(),
             cluster=Cluster(1, 1),
-            monitor=monitor,
+            tracer=subscribed(monitor),
             fault_injector=FaultInjector(mean_time_between_faults=60.0, seed=2),
             scheduling_interval=50.0,
             restart_penalty=0.0,
@@ -99,7 +107,7 @@ class TestMonitorInSimulation:
         monitor = WorkerMonitor()
         spec = JobSpec(profile=UNIT, num_iterations=50)
         ClusterSimulator(
-            FifoScheduler(), cluster=Cluster(2, 2), monitor=monitor,
+            FifoScheduler(), cluster=Cluster(2, 2), tracer=subscribed(monitor),
             restart_penalty=0.0,
         ).run([spec], "idle")
         # One of the two machines never ran anything.

@@ -69,6 +69,34 @@ def test_result_round_trips_through_dict():
     assert not clone.ok
 
 
+@pytest.mark.parametrize("payload, field", [
+    ([1], "JSON object"),
+    ("x", "JSON object"),
+    ({"label": "A", "scheduler": "fifo", "trace_id": "1", "seed": 0},
+     "'experiment'"),
+    ({"experiment": "e", "label": "A", "scheduler": "fifo",
+      "trace_id": "1", "seed": "0"}, "'seed'"),
+])
+def test_spec_from_dict_names_the_bad_field(payload, field):
+    with pytest.raises(ValueError, match=f"RunSpec.*{field}"):
+        RunSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1], "RunResult payload must be a JSON object"),
+    ({"status": "ok"}, "RunResult payload lacks field 'run_id'"),
+    ({"run_id": "a", "status": "ok", "spec": [1]},
+     "RunResult field 'spec' has type list"),
+    ({"run_id": "a", "status": "ok", "spec": "x"},
+     "RunResult field 'spec' has type str"),
+    ({"run_id": "a", "status": "ok", "attempts": "2"},
+     "RunResult field 'attempts' has type str"),
+])
+def test_result_from_dict_names_the_bad_field(payload, message):
+    with pytest.raises(ValueError, match=message):
+        RunResult.from_dict(payload)
+
+
 def test_parse_shard_forms():
     assert parse_shard(None) is None
     assert parse_shard("1/3") == (0, 3)

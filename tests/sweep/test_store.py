@@ -94,3 +94,35 @@ def test_clear_removes_the_file(tmp_path):
     store.clear()
     assert not store.path.exists()
     store.clear()  # idempotent
+
+
+WRONG_SHAPE_LINES = (
+    "[1]",
+    '"x"',
+    '{"run_id": "a", "status": "ok", "spec": [1]}',
+)
+
+
+@pytest.mark.parametrize("line", WRONG_SHAPE_LINES)
+def test_wrong_shape_final_line_counts_as_truncated(tmp_path, line):
+    """JSON that parses but is no result line is skipped at the tail."""
+    path = tmp_path / "runs.jsonl"
+    store = ResultStore(path)
+    keep = _result(seed=0)
+    store.append(keep)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    assert [r.run_id for r in store.load()] == [keep.run_id]
+    assert store.truncated_lines == 1
+
+
+@pytest.mark.parametrize("line", WRONG_SHAPE_LINES)
+def test_wrong_shape_earlier_line_raises_with_its_number(tmp_path, line):
+    path = tmp_path / "runs.jsonl"
+    store = ResultStore(path)
+    store.append(_result(seed=0))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    store.append(_result(seed=1))
+    with pytest.raises(ValueError, match=r"runs\.jsonl:2: corrupt"):
+        store.load()
