@@ -3,7 +3,8 @@
 Unlike the experiment benches (one pedantic round each), these run
 multiple rounds and exist to catch performance regressions in the hot
 paths: blossom matching, multi-round grouping, ordering enumeration,
-and a full scheduler decision.
+a full scheduler decision, and the fleet front-end's admission and
+drain.
 
 Budget context: the paper says the centralized scheduler groups 1,000
 jobs in "a few seconds"; our Python blossom matches 256 jobs in tens of
@@ -17,10 +18,15 @@ import time
 from repro.core.grouping import MultiRoundGrouper
 from repro.core.muri import MuriScheduler
 from repro.core.ordering import best_ordering
+from repro.fleet import FleetFrontEnd, partition_cluster
 from repro.jobs.job import Job, JobSpec
+from repro.jobs.resources import NUM_RESOURCES
+from repro.jobs.stage import StageProfile
 from repro.matching.blossom import matching_pairs
 from repro.matching.sparsify import SparsifyConfig, sparse_candidate_edges
 from repro.models.zoo import DEFAULT_MODELS, get_model
+from repro.trace.philly import generate_trace
+from repro.trace.workload import build_jobs
 
 
 def _random_edges(n, seed=0):
@@ -41,6 +47,22 @@ def _random_jobs(n, seed=0):
         ))
         for _ in range(n)
     ]
+
+
+def _uniform_jobs(count, seed):
+    """Seeded mixed-GPU jobs, stage durations drawn uniformly per resource."""
+    rng = random.Random(seed)
+    jobs = []
+    for _ in range(count):
+        rows = tuple(
+            round(rng.uniform(0.05, 5.0), 3) for _ in range(NUM_RESOURCES)
+        )
+        jobs.append(Job(JobSpec(
+            profile=StageProfile(rows),
+            num_gpus=rng.choice((1, 1, 2, 4, 8)),
+            num_iterations=100,
+        )))
+    return jobs
 
 
 def test_perf_blossom_128(benchmark):
@@ -98,6 +120,45 @@ def test_perf_grouping_1024(benchmark):
 
     result = benchmark.pedantic(group, rounds=3, iterations=1)
     assert result.total_gpu_demand == 256
+
+
+def test_perf_grouping_cold_4096(benchmark):
+    """A cold grouping of 4,096 trace-1 jobs with no capacity cap.
+
+    Each round gets a fresh grouper, so no cache survives between
+    rounds; trace-1 profiles repeat across jobs, the duplicate-heavy
+    regime the weight cache is built for.
+    """
+    specs = build_jobs(generate_trace("1", num_jobs=4096, seed=0), seed=0)
+    jobs = [Job(spec) for spec in specs]
+
+    def fresh_grouper():
+        return (MuriScheduler().grouper,), {}
+
+    def group(grouper):
+        return grouper.group(jobs, capacity=None)
+
+    result = benchmark.pedantic(
+        group, setup=fresh_grouper, rounds=3, iterations=1
+    )
+    assert len(result.groups) == 1026
+
+
+def test_perf_fleet_submit_drain(benchmark):
+    """Admit a 400-job, 3-tenant stream into a 4-shard FIFO fleet and
+    drain it: the routing, tenancy and merge plumbing, not grouping."""
+    tenants = ("alice", "bob", "carol")
+    topology = partition_cluster(8, 8, 4)
+    specs = [job.spec for job in _uniform_jobs(400, 0)]
+
+    def submit_and_drain():
+        frontend = FleetFrontEnd.build(topology, scheduler="fifo")
+        for index, spec in enumerate(specs):
+            frontend.submit(spec, tenant=tenants[index % len(tenants)])
+        return frontend.run_sync()
+
+    result = benchmark.pedantic(submit_and_drain, rounds=3, iterations=1)
+    assert len(result.jcts) == 400
 
 
 def test_perf_blossom_sparse_1024(benchmark):

@@ -22,8 +22,6 @@ Drives the library from a shell::
     repro replay --jobs 100000 --via-csv /tmp/replay.csv \
                  --verify-invariants          # production-scale replay
     repro replay --csv philly.csv --vc vc7 --scheduler muri-s
-    repro bench                               # pinned perf suite
-    repro bench --quick --out-dir bench-out   # the CI configuration
 
 Every command is deterministic for a given ``--seed``; ``repro sweep``
 is deterministic per run id regardless of worker count or sharding.
@@ -320,27 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="arm the full runtime invariant catalog "
                              "for the replay")
     replay.add_argument("--out", help="write the result JSON here")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned performance benchmark suite and write "
-             "BENCH_grouping.json / BENCH_service.json / "
-             "BENCH_fleet.json / BENCH_elastic.json / "
-             "BENCH_replay.json / BENCH_hetero.json (the committed "
-             "perf baselines; see docs/performance.md)",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="the CI configuration: skip the largest "
-                            "cold size and shorten the event streams")
-    bench.add_argument("--suite", default="all",
-                       choices=("grouping", "service", "fleet",
-                                "elastic", "replay", "hetero", "all"),
-                       help="which suite(s) to run")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory the BENCH_*.json files are "
-                            "written to (default: current directory)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="workload seed (baselines use 0)")
 
     reproduce = sub.add_parser(
         "reproduce", help="regenerate every paper artifact as one report"
@@ -1031,56 +1008,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        ELASTIC_BENCH_FILE,
-        FLEET_BENCH_FILE,
-        GROUPING_BENCH_FILE,
-        HETERO_BENCH_FILE,
-        REPLAY_BENCH_FILE,
-        SERVICE_BENCH_FILE,
-        gated_metrics,
-        run_elastic_suite,
-        run_fleet_suite,
-        run_grouping_suite,
-        run_hetero_suite,
-        run_replay_suite,
-        run_service_suite,
-        write_bench,
-    )
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    suites = []
-    if args.suite in ("grouping", "all"):
-        suites.append((GROUPING_BENCH_FILE, run_grouping_suite))
-    if args.suite in ("service", "all"):
-        suites.append((SERVICE_BENCH_FILE, run_service_suite))
-    if args.suite in ("fleet", "all"):
-        suites.append((FLEET_BENCH_FILE, run_fleet_suite))
-    if args.suite in ("elastic", "all"):
-        suites.append((ELASTIC_BENCH_FILE, run_elastic_suite))
-    if args.suite in ("replay", "all"):
-        suites.append((REPLAY_BENCH_FILE, run_replay_suite))
-    if args.suite in ("hetero", "all"):
-        suites.append((HETERO_BENCH_FILE, run_hetero_suite))
-    for filename, run_suite in suites:
-        print(f"== {filename} ==")
-        document = run_suite(
-            quick=args.quick, seed=args.seed,
-            progress=lambda line: print(f"   {line}"),
-        )
-        path = out_dir / filename
-        write_bench(document, path)
-        rows = sorted(gated_metrics(document).items())
-        print(format_table(
-            ["Gated metric", "Normalized"], rows, title=str(path)
-        ))
-    return 0
-
-
 def _cmd_reproduce(args) -> int:
     from pathlib import Path
 
@@ -1116,7 +1043,6 @@ _COMMANDS = {
     "fleet": _cmd_fleet,
     "fuzz": _cmd_fuzz,
     "replay": _cmd_replay,
-    "bench": _cmd_bench,
     "reproduce": _cmd_reproduce,
 }
 

@@ -119,8 +119,18 @@ def spec_from_dict(payload: Dict[str, Any]) -> JobSpec:
 
 
 def _wire_version(payload: Dict[str, Any]) -> int:
-    """The version a wire message claims; absent means version 1."""
-    return int(payload.get("version", 1))
+    """The version a wire message claims; absent means version 1.
+
+    Raises:
+        ValueError: When ``version`` is not a JSON integer (``true``,
+            ``2.5`` and ``"2"`` are refused, not coerced).
+    """
+    version = payload.get("version", 1)
+    if type(version) is not int:
+        raise ValueError(
+            f"protocol version must be an integer, not {version!r}"
+        )
+    return version
 
 
 # -- requests ---------------------------------------------------------------

@@ -295,8 +295,8 @@ def hetero_cells(
     three scheduling arms over it: FIFO, Muri-S with the default
     descending placer, and Muri-S with the Gavel-style
     :class:`~repro.cluster.placement.ThroughputAwarePlacer` — the grid
-    behind ``BENCH_hetero.json``'s improvement claim, as resumable
-    sweep cells.
+    behind the throughput-aware placement claim, as resumable sweep
+    cells.
 
     With ``philly_csv`` the cells replay that ingested CSV end to end
     (adapter skip accounting included) instead of the synthetic

@@ -37,7 +37,7 @@ import math
 import re
 from datetime import datetime
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, List, Optional, Union
 
 from repro.numeric import ordered_sum
 from repro.trace.records import Trace, TraceRecord
@@ -86,8 +86,37 @@ def round_up_power_of_two(value: int) -> int:
     return 1 << (value - 1).bit_length()
 
 
-def _attempt_gpus(attempt: dict) -> int:
-    return sum(len(d.get("gpus", [])) for d in attempt.get("detail", []))
+#: JSON names of the types ``json.loads`` produces, for error messages.
+_JSON_KINDS = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+def _expect(value: Any, kind: type, where: str) -> Any:
+    """Return ``value`` if it decoded as ``kind`` (list or dict).
+
+    Raises:
+        ValueError: Naming ``where`` (the entry index and field) and
+            the JSON type found instead.
+    """
+    if isinstance(value, kind):
+        return value
+    wanted = "an array" if kind is list else "an object"
+    raise ValueError(
+        f"{where} must be {wanted}, not {_JSON_KINDS[type(value)]}"
+    )
+
+
+def _attempt_gpus(attempt: dict, where: str) -> int:
+    details = _expect(attempt.get("detail", []), list, f"{where}.detail")
+    gpus = 0
+    for k, detail in enumerate(details):
+        detail = _expect(detail, dict, f"{where}.detail[{k}]")
+        gpus += len(
+            _expect(detail.get("gpus", []), list, f"{where}.detail[{k}].gpus")
+        )
+    return gpus
 
 
 def _attempt_duration(attempt: dict) -> float:
@@ -123,11 +152,18 @@ def load_philly_json(
         submission.
 
     Raises:
-        ValueError: If no jobs survive the filters.
+        ValueError: If no jobs survive the filters, or if the file is
+            not an array of objects, or a kept entry's ``attempts``,
+            ``detail`` or ``gpus`` field has the wrong JSON type (the
+            message names the entry index and the field).
     """
-    entries = json.loads(Path(path).read_text())
+    entries = _expect(
+        json.loads(Path(path).read_text()), list, f"{path}: the top level"
+    )
     kept: List[dict] = []
-    for entry in entries:
+    for index, entry in enumerate(entries):
+        where = f"{path}: entry {index}"
+        entry = _expect(entry, dict, where)
         if virtual_cluster is not None and entry.get("vc") != virtual_cluster:
             continue
         if not include_failed and entry.get("status") != "Pass":
@@ -135,13 +171,20 @@ def load_philly_json(
         submitted = parse_philly_time(entry.get("submitted_time", ""))
         if submitted is None:
             continue
-        duration = ordered_sum(
-            _attempt_duration(a) for a in entry.get("attempts", [])
-        )
+        attempts = [
+            _expect(a, dict, f"{where} attempts[{j}]")
+            for j, a in enumerate(
+                _expect(entry.get("attempts", []), list, f"{where} attempts")
+            )
+        ]
+        duration = ordered_sum(_attempt_duration(a) for a in attempts)
         if duration < min_duration:
             continue
         gpus = max(
-            (_attempt_gpus(a) for a in entry.get("attempts", [])),
+            (
+                _attempt_gpus(a, f"{where} attempts[{j}]")
+                for j, a in enumerate(attempts)
+            ),
             default=0,
         )
         if gpus < 1:

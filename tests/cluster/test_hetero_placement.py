@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import GpuType
 from repro.cluster.placement import DescendingPlacer, ThroughputAwarePlacer
-from repro.hetero.types import TypeScaling
+from repro.hetero.types import DEFAULT_TYPE_SCALING, TypeScaling
+from repro.hetero.workload import make_hetero_cluster, pin_jobs
+from repro.schedulers.registry import make_scheduler
+from repro.sim.simulator import ClusterSimulator
+from repro.trace.philly import generate_trace
+from repro.trace.workload import build_jobs
 
 V100 = GpuType("v100", speed_factor=1.0, memory_gb=32.0)
 A100 = GpuType("a100", speed_factor=2.0, memory_gb=40.0)
@@ -270,3 +275,26 @@ class TestThroughputAwareDegeneracy:
             placer, typed_cluster(), gpu_type="v100", prefer=True,
             model="gpt2",
         )
+
+
+class TestAwareMakespan:
+    """The placement claim on a seeded k80+a100 mix, pinned exactly."""
+
+    def test_aware_shortens_makespan(self):
+        specs = build_jobs(generate_trace("1", num_jobs=256, seed=0), seed=0)
+        pinned = pin_jobs(specs, ["k80", "a100"], seed=0, prefer_fraction=0.6)
+        makespans = []
+        for placer in (None, ThroughputAwarePlacer()):
+            simulator = ClusterSimulator(
+                make_scheduler("muri-s"),
+                cluster=make_hetero_cluster(
+                    8, 8, type_names=("k80", "a100"), seed=0
+                ),
+                landing_speed_scaling=DEFAULT_TYPE_SCALING,
+                placer=placer,
+            )
+            makespans.append(simulator.run(pinned, "hetero").makespan)
+        baseline, aware = makespans
+        # Simulated time only, so the ratio is exact for the seed.
+        assert aware / baseline == float.fromhex("0x1.d61c14ed958f1p-1")
+        assert aware / baseline < 1.0

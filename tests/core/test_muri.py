@@ -1,10 +1,13 @@
 """Tests for the MuriScheduler's decide() logic."""
 
+import random
+from typing import List, Sequence
+
 import pytest
 
-from repro.bench.suite import _make_jobs
 from repro.core.muri import MuriScheduler
 from repro.jobs.job import Job, JobSpec
+from repro.jobs.resources import NUM_RESOURCES
 from repro.jobs.stage import StageProfile
 from repro.profiler.noise import UniformNoise
 from repro.profiler.profiler import ResourceProfiler
@@ -15,6 +18,35 @@ STORAGE = StageProfile((0.7, 0.1, 0.1, 0.1))
 CPU = StageProfile((0.1, 0.7, 0.1, 0.1))
 GPU = StageProfile((0.1, 0.1, 0.7, 0.1))
 NETWORK = StageProfile((0.1, 0.1, 0.1, 0.7))
+
+
+def _make_jobs(
+    count: int,
+    seed: int,
+    gpu_choices: Sequence[int] = (1, 1, 2, 4, 8),
+) -> List[Job]:
+    """A seeded mixed-GPU job queue for the grouping benchmarks.
+
+    Stage durations are drawn uniformly per resource, giving the
+    matcher a realistic spread of bottlenecks; the GPU-count choices
+    weight small jobs the way the paper's traces do.
+    """
+    rng = random.Random(seed)
+    jobs = []
+    for _ in range(count):
+        rows = tuple(
+            round(rng.uniform(0.05, 5.0), 3) for _ in range(NUM_RESOURCES)
+        )
+        jobs.append(
+            Job(
+                JobSpec(
+                    profile=StageProfile(rows),
+                    num_gpus=rng.choice(list(gpu_choices)),
+                    num_iterations=100,
+                )
+            )
+        )
+    return jobs
 
 
 def make_job(profile=GPU, gpus=1, iters=100, submit=0.0):

@@ -191,11 +191,15 @@ def make_fleet_server():
     return FleetServer(frontend, path="/unused.sock")
 
 
-#: Well-formed JSON objects whose field *types* are wrong: decoding
-#: them raises ``TypeError`` rather than ``ValueError``/``KeyError``.
+#: Well-formed JSON objects whose field *types* are wrong: each must
+#: answer ``bad_request``, never crash the server or be coerced (a
+#: ``true`` version is not protocol v1, nor ``2.5`` or ``"2"`` v2).
 HOSTILE_MESSAGES = {
     "list-op": {"op": ["x"]},
     "null-version": {"op": "ping", "version": None},
+    "bool-version": {"op": "ping", "version": True},
+    "float-version": {"op": "ping", "version": 2.5},
+    "string-version": {"op": "ping", "version": "2"},
     "null-job-id": {"op": "cancel", "job_id": None, "version": 2},
     "list-job-id": {"op": "status", "job_id": [1], "version": 2},
     "int-spec": {"op": "submit", "spec": 5, "version": 2},

@@ -27,7 +27,6 @@ SUBPACKAGES = (
     "repro.service",
     "repro.fleet",
     "repro.elastic",
-    "repro.bench",
     "repro.hetero",
     "repro.replay",
     "repro.cli",

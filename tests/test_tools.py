@@ -167,90 +167,3 @@ def test_diff_metrics_merges_shard_stores(tmp_path):
     )
     assert proc.returncode == 0
     assert "compared 2 run(s)" in proc.stdout
-
-
-def _bench_doc(normalized, suite="grouping", schema=1):
-    """A minimal bench document with one gated metric per benchmark."""
-    return {
-        "schema": schema,
-        "suite": suite,
-        "benchmarks": {
-            name: {"seconds": value / 50.0, "normalized": value}
-            for name, value in normalized.items()
-        },
-    }
-
-
-def _write_json(path, document):
-    path.write_text(json.dumps(document, indent=2) + "\n")
-
-
-def test_diff_metrics_bench_clean_and_regression(tmp_path):
-    baseline = tmp_path / "BENCH_grouping.json"
-    current = tmp_path / "current.json"
-    _write_json(baseline, _bench_doc({"cold": 10.0, "warm": 1.0}))
-
-    # Within tolerance: clean.
-    _write_json(current, _bench_doc({"cold": 10.5, "warm": 1.0}))
-    proc = _run_tool(
-        "diff_metrics.py", "--bench", str(current),
-        "--baseline", str(baseline), "--tolerance", "0.10",
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 failure(s)" in proc.stdout
-
-    # A 20% regression on one gated metric: fail.
-    _write_json(current, _bench_doc({"cold": 12.0, "warm": 1.0}))
-    proc = _run_tool(
-        "diff_metrics.py", "--bench", str(current),
-        "--baseline", str(baseline), "--tolerance", "0.10",
-    )
-    assert proc.returncode == 1
-    assert "exceeds +10%" in proc.stdout
-
-
-def test_diff_metrics_bench_subset_is_a_notice(tmp_path):
-    """A quick run missing full-only benchmarks gates cleanly."""
-    baseline = tmp_path / "BENCH_grouping.json"
-    current = tmp_path / "current.json"
-    _write_json(baseline, _bench_doc({"cold_512": 5.0, "cold_4096": 90.0}))
-    _write_json(current, _bench_doc({"cold_512": 5.0}))
-    proc = _run_tool(
-        "diff_metrics.py", "--bench", str(current),
-        "--baseline", str(baseline), "--tolerance", "0.10",
-    )
-    assert proc.returncode == 0, proc.stdout
-    assert "in baseline only" in proc.stdout
-
-
-def test_diff_metrics_bench_schema_mismatch_refuses(tmp_path):
-    baseline = tmp_path / "BENCH_grouping.json"
-    current = tmp_path / "current.json"
-    _write_json(baseline, _bench_doc({"cold": 10.0}, schema=1))
-    _write_json(current, _bench_doc({"cold": 10.0}, schema=2))
-    proc = _run_tool(
-        "diff_metrics.py", "--bench", str(current),
-        "--baseline", str(baseline),
-    )
-    assert proc.returncode != 0
-    assert "schema mismatch" in proc.stdout + proc.stderr
-
-
-def test_diff_metrics_bench_update_writes_baseline(tmp_path):
-    baseline = tmp_path / "BENCH_service.json"
-    current = tmp_path / "current.json"
-    _write_json(current, _bench_doc({"submit": 2.0}, suite="service"))
-
-    # No baseline yet: exit 2 with a pointer, not a crash.
-    proc = _run_tool(
-        "diff_metrics.py", "--bench", str(current),
-        "--baseline", str(baseline),
-    )
-    assert proc.returncode == 2
-
-    proc = _run_tool(
-        "diff_metrics.py", "--bench", str(current),
-        "--baseline", str(baseline), "--update",
-    )
-    assert proc.returncode == 0
-    assert json.loads(baseline.read_text())["suite"] == "service"

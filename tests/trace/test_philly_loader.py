@@ -165,6 +165,45 @@ class TestLoader:
             (3600.0, 1), (1800.0, 2),
         ]
 
+    @pytest.mark.parametrize("document,where", [
+        ([1], "entry 0 must be an object, not number"),
+        ({"jobs": []}, "the top level must be an array, not object"),
+        (
+            [philly_entry("app_1", "vc-a", "2017-10-03 10:00:00", None)],
+            "entry 0 attempts must be an array, not null",
+        ),
+        (
+            [philly_entry("app_1", "vc-a", "2017-10-03 10:00:00", ["x"])],
+            "entry 0 attempts[0] must be an object, not string",
+        ),
+        (
+            [philly_entry("app_1", "vc-a", "2017-10-03 10:00:00", [{
+                "start_time": "2017-10-03 10:05:00",
+                "end_time": "2017-10-03 11:05:00",
+                "detail": None,
+            }])],
+            "entry 0 attempts[0].detail must be an array, not null",
+        ),
+        (
+            [philly_entry("app_1", "vc-a", "2017-10-03 10:00:00", [{
+                "start_time": "2017-10-03 10:05:00",
+                "end_time": "2017-10-03 11:05:00",
+                "detail": [{"ip": "m0", "gpus": None}],
+            }])],
+            "entry 0 attempts[0].detail[0].gpus must be an array, not null",
+        ),
+    ], ids=[
+        "non-object-entry", "top-level-object", "null-attempts",
+        "string-attempt", "null-detail", "null-gpus",
+    ])
+    def test_wrong_shape_raises_value_error(self, tmp_path, document, where):
+        """A wrong-shape entry names its index and field, not a crash."""
+        path = tmp_path / "bad_log"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError) as info:
+            load_philly_json(path)
+        assert str(info.value) == f"{path}: {where}"
+
     def test_feeds_build_jobs(self, trace_file):
         from repro.trace.workload import build_jobs
 

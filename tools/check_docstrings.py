@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Docstring lint for the public observability/sweep/verify/bench APIs.
+"""Docstring lint for the public observability/sweep/verify/service APIs.
 
 Walks every module under the default roots (``src/repro/observe/``,
 ``src/repro/sweep/``, ``src/repro/verify/``, ``src/repro/service/``,
-``src/repro/bench/``, ``src/repro/fleet/``, ``src/repro/elastic/``,
-``src/repro/hetero/``, ``src/repro/replay/``, ``src/repro/trace/``,
-``src/repro/jobs/`` and ``src/repro/sim/``)
+``src/repro/fleet/``, ``src/repro/elastic/``, ``src/repro/hetero/``,
+``src/repro/replay/``, ``src/repro/trace/``, ``src/repro/jobs/`` and
+``src/repro/sim/``)
 and fails (exit 1) if any *public*
 definition — module, class, function, or method whose name does not
 start with an underscore — lacks a docstring. Dunders (including
@@ -73,10 +73,10 @@ def main(argv: List[str]) -> int:
     roots = [Path(a) for a in argv] or [
         Path("src/repro/observe"), Path("src/repro/sweep"),
         Path("src/repro/verify"), Path("src/repro/service"),
-        Path("src/repro/bench"), Path("src/repro/fleet"),
-        Path("src/repro/elastic"), Path("src/repro/hetero"),
-        Path("src/repro/replay"), Path("src/repro/trace"),
-        Path("src/repro/jobs"), Path("src/repro/sim"),
+        Path("src/repro/fleet"), Path("src/repro/elastic"),
+        Path("src/repro/hetero"), Path("src/repro/replay"),
+        Path("src/repro/trace"), Path("src/repro/jobs"),
+        Path("src/repro/sim"),
     ]
     failures = 0
     checked = 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Metric regression gate for experiment sweeps and perf benchmarks.
+"""Metric regression gate for experiment sweeps.
 
 Default mode compares the key metrics (average JCT and makespan per
 run id) from one or more sweep JSONL stores against a committed
@@ -7,13 +7,6 @@ baseline JSON and fails when any run moved by more than the
 tolerance, in either direction.  Shard stores can be passed together
 — they are merged before diffing, so the CI matrix uploads its three
 shard artifacts and this gate checks the union.
-
-``--bench`` mode instead compares one ``repro bench`` output document
-(``BENCH_grouping.json`` / ``BENCH_service.json`` /
-``BENCH_fleet.json``) against its committed baseline.  Only the machine-speed *normalized* metrics are
-gated (see ``docs/performance.md``); metrics present on one side only
-are reported as notices, not failures, so a ``--quick`` CI run gates
-cleanly against a committed full-suite baseline.
 
 The sweep is deterministic, so its gate is two-sided: an unexplained
 improvement is as suspect as a regression, and CI runs it with
@@ -23,16 +16,11 @@ change that moves numbers on purpose commits a refreshed baseline with
 a missing run means the sweep grid silently shrank, a new run means
 the baseline is stale — both want an explicit ``--update``.
 
-Bench mode gates timings, so it stays one-sided: a *higher* value
-than the baseline is a failure, a lower one is reported as a notice.
-
 Usage::
 
     python tools/diff_metrics.py shard-*.jsonl --baseline benchmarks/baselines/sweep_metrics.json \
         --tolerance 0
     python tools/diff_metrics.py shard-*.jsonl --baseline ... --update
-    python tools/diff_metrics.py --bench bench-out/BENCH_grouping.json \
-        --baseline BENCH_grouping.json --tolerance 0.10
 
 Exit codes: 0 clean, 1 regression/mismatch, 2 usage error.
 """
@@ -78,57 +66,6 @@ def collect_metrics(paths: List[str]) -> Dict[str, dict]:
             "makespan": sim.makespan,
         }
     return out
-
-
-def diff_bench(
-    current_doc: dict,
-    baseline_doc: dict,
-    tolerance: float,
-) -> int:
-    """Diff two bench documents on their gated metrics; return failures.
-
-    Gated metrics are the normalized (machine-speed invariant) values
-    flattened by :func:`repro.bench.gated_metrics`; all of them are
-    lower-is-better.  Metrics present in only one document (a quick run
-    gating against a full baseline) are notices, not failures, but
-    mismatched schema versions or suites refuse to compare at all.
-    """
-    from repro.bench import gated_metrics
-
-    for field in ("schema", "suite"):
-        if current_doc.get(field) != baseline_doc.get(field):
-            raise SystemExit(
-                f"error: bench {field} mismatch "
-                f"({current_doc.get(field)!r} vs {baseline_doc.get(field)!r})"
-                " — regenerate the baseline with `repro bench`"
-            )
-    current = gated_metrics(current_doc)
-    baseline = gated_metrics(baseline_doc)
-    for name in sorted(set(baseline) - set(current)):
-        print(f"note {name}: in baseline only (quick run?) — skipped")
-    for name in sorted(set(current) - set(baseline)):
-        print(f"note {name}: not in baseline — refresh it with --update")
-
-    failures = 0
-    improvements = 0
-    shared = sorted(set(current) & set(baseline))
-    for name in shared:
-        before, after = baseline[name], current[name]
-        if before <= 0:
-            continue
-        delta = (after - before) / before
-        context = f"{name}: {before:.3f} -> {after:.3f} ({delta:+.1%})"
-        if delta > tolerance:
-            print(f"FAIL {context} exceeds +{tolerance:.0%}")
-            failures += 1
-        elif delta < -tolerance:
-            print(f"note {context} improved — consider --update")
-            improvements += 1
-    print(
-        f"compared {len(shared)} gated metric(s): "
-        f"{failures} failure(s), {improvements} improvement notice(s)"
-    )
-    return failures
 
 
 def diff(
@@ -196,47 +133,17 @@ def main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.05,
-        help="allowed relative change per metric (default 0.05); sweep "
-             "mode fails on a move either way, bench mode on a rise",
+        help="allowed relative change per metric (default 0.05); a "
+             "move either way fails",
     )
     parser.add_argument(
         "--update", action="store_true",
         help="rewrite the baseline from the given results instead of "
              "diffing",
     )
-    parser.add_argument(
-        "--bench", action="store_true",
-        help="treat the (single) result as a `repro bench` JSON "
-             "document and gate its normalized metrics",
-    )
     args = parser.parse_args(argv)
     if args.tolerance < 0:
         parser.error("--tolerance must be >= 0")
-
-    if args.bench:
-        if len(args.results) != 1:
-            parser.error("--bench takes exactly one result document")
-        current_doc = json.loads(
-            Path(args.results[0]).read_text(encoding="utf-8")
-        )
-        baseline_path = Path(args.baseline)
-        if args.update:
-            baseline_path.parent.mkdir(parents=True, exist_ok=True)
-            baseline_path.write_text(
-                json.dumps(current_doc, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"baseline updated: {baseline_path}")
-            return 0
-        if not baseline_path.exists():
-            print(
-                f"error: baseline {baseline_path} does not exist — "
-                "generate it with `repro bench` and commit it",
-                file=sys.stderr,
-            )
-            return 2
-        baseline_doc = json.loads(baseline_path.read_text(encoding="utf-8"))
-        return 1 if diff_bench(current_doc, baseline_doc, args.tolerance) else 0
 
     current = collect_metrics(args.results)
     if not current:
